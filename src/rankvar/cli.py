@@ -382,21 +382,21 @@ def cmd_identify(args) -> int:
         "max_order": args.max_order, "perm": args.perm,
         "diff": args.diff, "demean": args.demean,
     }
-    if args.score == "gaussian":
-        if args.perm is not None:
-            raise InputError("the gaussian test has no permutational variant")
-        trace = identify_order(
-            x, "gaussian", alpha=args.alpha, max_order=args.max_order
-        )
-        _emit("identify", config, None, trace.to_dict())
-        return 0
-    seed = _seed_or_fresh(args)
-    grid = _grid_for(args, n, d, seed)
+    seed = None
     try:
-        trace = identify_order(
-            x, _score_spec(args.score), alpha=args.alpha,
-            max_order=args.max_order, M=args.perm, seed=seed, grid=grid,
-        )
+        if args.score == "gaussian":
+            if args.perm is not None:
+                raise InputError("the gaussian test has no permutational variant")
+            trace = identify_order(
+                x, "gaussian", alpha=args.alpha, max_order=args.max_order
+            )
+        else:
+            seed = _seed_or_fresh(args)
+            grid = _grid_for(args, n, d, seed)
+            trace = identify_order(
+                x, _score_spec(args.score), alpha=args.alpha,
+                max_order=args.max_order, M=args.perm, seed=seed, grid=grid,
+            )
     except IdentificationError as exc:
         _emit("identify", config, seed, exc.trace.to_dict())
         raise

@@ -22,13 +22,10 @@ matrix mu mu', destroying the chi-square calibration.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._errors import InputError, NumericalError
-from .rank_tests import TestOutcome, _solve_spd
-from .scores import chisq_quantile, chisq_sf
+from .rank_tests import TestOutcome, _block_gram, _meta, _outcome, _solve_spd
 from .var_algebra import (
     VarModel,
     build_operator_matrices,
@@ -63,58 +60,12 @@ def _whiten(z: np.ndarray) -> np.ndarray:
     return zc @ (v * w ** -0.5) @ v.T
 
 
-def _lag_stack(z: np.ndarray, L: int) -> np.ndarray:
-    """Concatenated (n-i)^{1/2} vec(Gamma_{i,N}) for i = 1..L."""
-    n, d = z.shape
-    d2 = d * d
-    out = np.empty(L * d2)
-    for i in range(1, L + 1):
-        g = z[i:].T @ z[: n - i] / (n - i)
-        out[(i - 1) * d2: i * d2] = math.sqrt(n - i) * g.reshape(-1, order="F")
-    return out
-
-
 def _lag1_moment(z: np.ndarray) -> np.ndarray:
     """L = (n-1)^{-1} sum_t vec(Z_t Z_{t-1}') vec(Z_t Z_{t-1}')'."""
     n, d = z.shape
     outer = z[1:, :, None] * z[:-1, None, :]  # [t, r, c] = Z_t[r] Z_{t-1}[c]
     vecs = outer.transpose(0, 2, 1).reshape(n - 1, d * d)
     return vecs.T @ vecs / (n - 1)
-
-
-def _outcome(statistic, df, alpha, meta) -> TestOutcome:
-    cv = float(chisq_quantile(df, 1.0 - alpha))
-    return TestOutcome(
-        statistic=statistic,
-        df=df,
-        p_asymptotic=float(chisq_sf(statistic, df)),
-        p_permutational=None,
-        critical_value=cv,
-        reject=statistic > cv,
-        meta=meta,
-    )
-
-
-def _meta(n, d, p0, p1) -> dict:
-    return {
-        "score": "gaussian",
-        "n": n,
-        "d": d,
-        "p0": p0,
-        "p1": p1,
-        "M": None,
-        "seed": None,
-    }
-
-
-def _white_noise_statistic(x: np.ndarray, p1: int) -> float:
-    """The coinciding S_N(0) = W_N(0) form: v'(I_{p1} kron L)^{-1} v."""
-    z = _center(x)
-    d2 = x.shape[1] ** 2
-    v = _lag_stack(z, p1)
-    lmat_inv = _solve_spd(_lag1_moment(z), "L")
-    blocks = v.reshape(p1, d2)
-    return float(np.einsum("ia,ab,ib->", blocks, lmat_inv, blocks))
 
 
 def gaussian_test_specified(
@@ -150,19 +101,19 @@ def gaussian_test_specified(
     df = d * d * theta0.p1
 
     if not theta0.theta.any():
-        statistic = _white_noise_statistic(x, theta0.p1)
-        return _outcome(statistic, df, alpha, _meta(n, d, theta0.p0, theta0.p1))
-
-    zw = _whiten(residuals(x, theta0))
-    ops = build_operator_matrices(theta0, n)
-    L = ops.effective_lags
-    d2 = d * d
-    q = ops.Q[: L * d2]
-    v = _lag_stack(zw, L)
-    h = q.T @ v
-    gram_inv = _solve_spd(q.T @ q, "Q'Q")
-    statistic = float(h @ gram_inv @ h)
-    return _outcome(statistic, df, alpha, _meta(n, d, theta0.p0, theta0.p1))
+        # S_N(0) = W_N(0) = v'(I_{p1} kron L)^{-1} v on the centered data.
+        z = _center(x)
+        L = theta0.p1
+        a = np.eye(L * d * d)
+        k_inv = np.kron(np.eye(L), _solve_spd(_lag1_moment(z), "L"))
+    else:
+        z = _whiten(residuals(x, theta0))
+        ops = build_operator_matrices(theta0, n)
+        L = ops.effective_lags
+        a = ops.Q[: L * d * d].T
+        k_inv = _solve_spd(a @ a.T, "Q'Q")
+    meta = _meta("gaussian", n, d, theta0.p0, theta0.p1)
+    return _outcome(z, 0.0, L, a, k_inv, df, alpha, meta)
 
 
 def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome:
@@ -184,38 +135,19 @@ def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome
 
     if p0 == 0:
         null = VarModel(d=d, p0=0, p1=p1, theta=np.zeros(p1 * d * d))
-        out = gaussian_test_specified(x, null, alpha=alpha)
-        meta = dict(out.meta)
-        meta["p0"] = 0
-        return TestOutcome(
-            statistic=out.statistic,
-            df=out.df,
-            p_asymptotic=out.p_asymptotic,
-            p_permutational=None,
-            critical_value=out.critical_value,
-            reject=out.reject,
-            meta=meta,
-        )
+        return gaussian_test_specified(x, null, alpha=alpha)
 
     theta_hat = fit_constrained_ls(x, p0, p1)
     z = _center(residuals(x, theta_hat))
     ops = build_operator_matrices(theta_hat, n)
     L = ops.effective_lags
-    d2 = d * d
-    k = d2 * p0
-    t_trunc = ops.T[:, : L * d2]
-    v = _lag_stack(z, L)
-    delta = t_trunc @ v
-
-    lmat = _lag1_moment(z)
-    tr = t_trunc.reshape(-1, L, d2).transpose(1, 0, 2)
-    lam = np.einsum("iac,cd,ibd->ab", tr, lmat, tr)
+    k = d * d * p0
+    t = ops.T[:, : L * d * d]
+    lam = _block_gram(t, _lag1_moment(z))
     lam11_inv = _solve_spd(lam[:k, :k], "Lambda_11;N", ridge=True)
     bmat = lam[k:, :k] @ lam11_inv
     lam_star = lam[k:, k:] - bmat @ lam[:k, k:]
-    lam_star_inv = _solve_spd(lam_star, "Lambda*_II;N", ridge=True)
-
-    d_star = delta[k:] - bmat @ delta[:k]
-    statistic = float(d_star @ lam_star_inv @ d_star)
-    df = d2 * (p1 - p0)
-    return _outcome(statistic, df, alpha, _meta(n, d, p0, p1))
+    k_inv = _solve_spd(lam_star, "Lambda*_II;N", ridge=True)
+    a = t[k:] - bmat @ t[:k]
+    meta = _meta("gaussian", n, d, p0, p1)
+    return _outcome(z, 0.0, L, a, k_inv, d * d * (p1 - p0), alpha, meta)

@@ -6,6 +6,16 @@ signs of VAR residuals.  Calibration is either asymptotic (chi-square) or
 permutational: conditionally on the residuals, the null distribution of the
 rank statistics is invariant under permutations of the grid assignment, so
 permuted couplings resample the exact finite-n null.
+
+Every test, rank or Gaussian, is one computation: a quadratic form
+h' K^{-1} h in a linear map h = A v of the stacked lagged cross-covariances
+v.  :func:`_lag_stacks` is the single kernel that forms v, for the observed
+assignment (the identity permutation) and for permuted ones alike;
+:func:`_block_gram` forms the Gram matrices sum_i A_i C A_i' behind K; and
+:func:`_outcome` evaluates the form and calibrates it.  Each test only
+builds its A and K.  :func:`rank_cross_cov` and :func:`central_sequence`
+are an independent per-lag route to the same stack, kept as the reference
+the tests check the kernel against.
 """
 
 from __future__ import annotations
@@ -190,34 +200,44 @@ def _solve_spd(mat: np.ndarray, what: str, ridge: bool = False) -> np.ndarray:
     return inv
 
 
-def _batched_stacks(a, b, m_vec, L, perms):
-    """Stack vectors for a batch of grid permutations.
+def _lag_stacks(s: np.ndarray, m_vec, L: int, perms: np.ndarray) -> np.ndarray:
+    """Stacked lagged cross-covariances for a batch of time permutations.
+
+    The one kernel behind every statistic.  Both slots of the
+    cross-covariance read the same per-time array (J1 = J2 for every
+    ``ScoreSpec``; the Gaussian tests pass residuals).
 
     Parameters
     ----------
-    a, b : (n, d) arrays
-        Observed per-time score values.
-    m_vec : (d*d,) array
-        vec of the centering matrix.
+    s : (n, d) array
+        Per-time values: scores of the observed assignment, or residuals.
+    m_vec : (d*d,) array or 0.0
+        vec of the null mean subtracted from every block.
     L : int
         Lag horizon.
     perms : (B, n) integer array
-        Time permutations to apply to both score arrays.
+        Time permutations; the identity row gives the observed stack.
 
     Returns
     -------
-    (B, L*d*d) array whose block i is (n-i)^{1/2} (vec Gamma_i - m_vec).
+    (B, L*d*d) array whose block i is (n-i)^{1/2} (vec Gamma_i - m_vec),
+    Gamma_i = (n-i)^{-1} sum_t s_t s_{t-i}'.
     """
-    n, d = a.shape
-    d2 = d * d
-    ap = a[perms]
-    bp = b[perms]
-    out = np.empty((perms.shape[0], L * d2))
+    n, d = s.shape
+    B = perms.shape[0]
+    sp = s[perms]
+    out = np.empty((B, L, d * d))
     for i in range(1, L + 1):
-        g = np.einsum("mtd,mte->mde", ap[:, i:, :], bp[:, : n - i, :]) / (n - i)
-        v = g.transpose(0, 2, 1).reshape(perms.shape[0], d2)
-        out[:, (i - 1) * d2: i * d2] = math.sqrt(n - i) * (v - m_vec)
-    return out
+        # S_{t-i}' S_t is Gamma_i', whose row-major layout is vec(Gamma_i).
+        g = np.matmul(sp[:, : n - i].transpose(0, 2, 1), sp[:, i:]) / (n - i)
+        out[:, i - 1] = math.sqrt(n - i) * (g.reshape(B, d * d) - m_vec)
+    return out.reshape(B, L * d * d)
+
+
+def _block_gram(a: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """A (I kron cov) A' = sum_i A_i cov A_i' over the d^2-column blocks A_i of A."""
+    r = a.shape[0]
+    return (a.reshape(r, -1, cov.shape[0]) @ cov).reshape(r, -1) @ a.T
 
 
 def _iter_perm_chunks(n: int, M: int | None, seed: int, exhaustive: bool):
@@ -246,11 +266,12 @@ def _iter_perm_chunks(n: int, M: int | None, seed: int, exhaustive: bool):
 def _snap_ties(values: np.ndarray) -> np.ndarray:
     """Collapse float-noise ties to exact ties.
 
-    Statistic values that coincide in exact arithmetic can differ in the
-    last bits between the batched and the observed evaluation paths, which
-    would break tie counting.  Values are clustered by sorted gaps below a
-    1e-9 relative tolerance and snapped to their cluster maximum; genuinely
-    distinct values sit far above that gap.
+    Distinct permutations can give statistic values that coincide in exact
+    arithmetic (at small n many assignments share a statistic), yet the
+    floating-point sums over their differently ordered terms differ in the
+    last bits, which would break tie counting.  Values are clustered by
+    sorted gaps below a 1e-9 relative tolerance and snapped to their
+    cluster maximum; genuinely distinct values sit far above that gap.
     """
     tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     order = np.argsort(values, kind="stable")
@@ -312,10 +333,68 @@ def _perm_count_and_seed(n, M, seed, exhaustive):
             )
         return math.factorial(n), 0
     if M is None:
-        return None, seed
+        return None, None
     if M < 1:
         raise InputError(f"need a positive permutation count, got {M}")
     return M, fresh_seed() if seed is None else seed
+
+
+def _meta(score: str, n: int, d: int, p0: int, p1: int, M=None, seed=None) -> dict:
+    return {"score": score, "n": n, "d": d, "p0": p0, "p1": p1, "M": M, "seed": seed}
+
+
+def _outcome(
+    s, m_vec, L, a, k_inv, df, alpha, meta, M=None, seed=None, exhaustive=False
+) -> TestOutcome:
+    """Evaluate h' K^{-1} h, h = A v, and calibrate it.
+
+    The observed statistic is the identity permutation's value; with ``M``
+    (or ``exhaustive``) the same kernel evaluates the permuted assignments
+    and the test is calibrated on them, otherwise on the chi-square(df)
+    limit.
+    """
+    def forms(perms):
+        h = _lag_stacks(s, m_vec, L, perms) @ a.T
+        return np.einsum("mi,ij,mj->m", h, k_inv, h)
+
+    n = s.shape[0]
+    statistic = float(forms(np.arange(n)[None, :])[0])
+    p_asym = float(chisq_sf(statistic, df))
+    if M is None:
+        p_perm, cv = None, float(chisq_quantile(df, 1.0 - alpha))
+    else:
+        stats = np.concatenate(
+            [forms(perms) for perms in _iter_perm_chunks(n, M, seed, exhaustive)]
+        )
+        p_perm, cv = _permutation_calibration(stats, statistic, alpha)
+    return TestOutcome(
+        statistic=statistic,
+        df=df,
+        p_asymptotic=p_asym,
+        p_permutational=p_perm,
+        critical_value=cv,
+        reject=statistic > cv,
+        meta=meta,
+    )
+
+
+def _delta_at(model: VarModel, x: np.ndarray, spec: ScoreSpec, grid: BallGrid, m_vec):
+    """Scores, operator matrices and central sequence Delta at one parameter value.
+
+    Recomputes residuals, the coupling, and the operator matrices; Delta is
+    the map whose local slope in theta is -Upsilon.
+    """
+    n, d = x.shape
+    coupling = solve_coupling(residuals(x, model), grid)
+    ops = build_operator_matrices(model, n)
+    s = grid_scores(spec, 1, grid)[coupling.assignment]
+    L = ops.effective_lags
+    v = _lag_stacks(s, m_vec, L, np.arange(n)[None, :])[0]
+    return s, ops, ops.T[:, : L * d * d] @ v
+
+
+def _centering_vec(spec: ScoreSpec, grid: BallGrid) -> np.ndarray:
+    return centering(spec, grid).reshape(-1, order="F")
 
 
 def test_specified(
@@ -342,84 +421,15 @@ def test_specified(
         raise InputError(f"theta0 has d={theta0.d}, series has d={d}")
     M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
 
-    z = residuals(x, theta0)
-    coupling = solve_coupling(z, grid)
-    ops = build_operator_matrices(theta0, n)
+    m_vec = _centering_vec(spec, grid)
+    s, ops, _ = _delta_at(theta0, x, spec, grid, m_vec)
     L = ops.effective_lags
-    d2 = d * d
-
-    c_mat = score_covariance(spec, d)
-    m_vec = centering(spec, grid).reshape(-1, order="F")
-    q = ops.Q[: L * d2]
-    qr = q.reshape(L, d2, -1)
-    gram = np.einsum("ica,cd,idb->ab", qr, c_mat, qr)
-    gram_inv = _solve_spd(gram, "Q'(I x C)Q")
-
-    a, b = _score_pair(coupling, spec)
-    ident = np.arange(n)[None, :]
-    v_obs = _batched_stacks(a, b, m_vec, L, ident)[0]
-    h_obs = q.T @ v_obs
-    statistic = float(h_obs @ gram_inv @ h_obs)
-
-    df = d2 * theta0.p1
-    p_asym = float(chisq_sf(statistic, df))
-    meta = {
-        "score": spec.kind,
-        "n": n,
-        "d": d,
-        "p0": theta0.p0,
-        "p1": theta0.p1,
-        "M": M_eff,
-        "seed": seed if M_eff is not None else None,
-    }
-
-    if M_eff is None:
-        cv = float(chisq_quantile(df, 1.0 - alpha))
-        return TestOutcome(
-            statistic=statistic,
-            df=df,
-            p_asymptotic=p_asym,
-            p_permutational=None,
-            critical_value=cv,
-            reject=statistic > cv,
-            meta=meta,
-        )
-
-    stats = np.empty(M_eff)
-    pos = 0
-    for perms in _iter_perm_chunks(n, M_eff, seed, exhaustive):
-        vs = _batched_stacks(a, b, m_vec, L, perms)
-        hs = vs @ q
-        stats[pos: pos + perms.shape[0]] = np.einsum(
-            "mi,ij,mj->m", hs, gram_inv, hs
-        )
-        pos += perms.shape[0]
-    p_perm, cv = _permutation_calibration(stats, statistic, alpha)
-    return TestOutcome(
-        statistic=statistic,
-        df=df,
-        p_asymptotic=p_asym,
-        p_permutational=p_perm,
-        critical_value=cv,
-        reject=statistic > cv,
-        meta=meta,
+    a = ops.Q[: L * d * d].T
+    k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
+    meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M_eff, seed)
+    return _outcome(
+        s, m_vec, L, a, k_inv, d * d * theta0.p1, alpha, meta, M_eff, seed, exhaustive
     )
-
-
-def _delta_at(
-    model: VarModel, x: np.ndarray, spec: ScoreSpec, grid: BallGrid
-) -> np.ndarray:
-    """Central sequence at an arbitrary parameter value.
-
-    Recomputes residuals, the coupling, and the operator matrices; this is
-    the map whose local slope in theta is -Upsilon.
-    """
-    n = x.shape[0]
-    z = residuals(x, model)
-    coupling = solve_coupling(z, grid)
-    ops = build_operator_matrices(model, n)
-    stack = rank_cross_cov(coupling, spec, ops.effective_lags)
-    return central_sequence(stack, ops, n)
 
 
 def estimate_upsilon(
@@ -466,8 +476,9 @@ def estimate_upsilon(
     ups = np.zeros((p1 * d * d, k))
     if h0 == 0.0:
         return ups
+    m_vec = _centering_vec(spec, grid)
     if base_delta is None:
-        base_delta = _delta_at(theta_hat, x, spec, grid)
+        base_delta = _delta_at(theta_hat, x, spec, grid, m_vec)[2]
 
     for col in columns:
         h = h0
@@ -482,7 +493,7 @@ def estimate_upsilon(
             raise NumericalError(
                 f"perturbation of coordinate {col} cannot stay stationary"
             )
-        delta_p = _delta_at(model_p, x, spec, grid)
+        delta_p = _delta_at(model_p, x, spec, grid, m_vec)[2]
         ups[:, col - 1] = -(delta_p - base_delta) / (h * math.sqrt(n))
     return ups
 
@@ -516,40 +527,17 @@ def test_order(
 
     if p0 == 0:
         null = VarModel(d=d, p0=0, p1=p1, theta=np.zeros(p1 * d * d))
-        out = test_specified(
+        return test_specified(
             x, null, spec, grid, alpha=alpha, M=M, seed=seed, exhaustive=exhaustive
-        )
-        meta = dict(out.meta)
-        meta["p0"] = 0
-        return TestOutcome(
-            statistic=out.statistic,
-            df=out.df,
-            p_asymptotic=out.p_asymptotic,
-            p_permutational=out.p_permutational,
-            critical_value=out.critical_value,
-            reject=out.reject,
-            meta=meta,
         )
 
     M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
     theta_hat = fit_constrained_ls(x, p0, p1)
-    z = residuals(x, theta_hat)
-    coupling = solve_coupling(z, grid)
-    ops = build_operator_matrices(theta_hat, n)
+    m_vec = _centering_vec(spec, grid)
+    s, ops, delta = _delta_at(theta_hat, x, spec, grid, m_vec)
     L = ops.effective_lags
     d2 = d * d
     k = d2 * p0
-
-    c_mat = score_covariance(spec, d)
-    m_vec = centering(spec, grid).reshape(-1, order="F")
-    t_trunc = ops.T[:, : L * d2]
-    tr = t_trunc.reshape(-1, L, d2).transpose(1, 0, 2)
-    lam = np.einsum("iac,cd,ibd->ab", tr, c_mat, tr)
-
-    a, b = _score_pair(coupling, spec)
-    ident = np.arange(n)[None, :]
-    v_obs = _batched_stacks(a, b, m_vec, L, ident)[0]
-    delta = t_trunc @ v_obs
 
     ups = estimate_upsilon(x, theta_hat, spec, grid, base_delta=delta)
     # Upsilon_11 is only symmetric in the limit; invert it as-is, with the
@@ -562,54 +550,14 @@ def test_order(
     if not np.all(np.isfinite(bmat)) or np.linalg.cond(u11) > 1e12:
         raise NumericalError("ill-conditioned Upsilon_11")
 
-    lam11, lam12 = lam[:k, :k], lam[:k, k:]
-    lam21, lam22 = lam[k:, :k], lam[k:, k:]
-    lam_star = lam22 + bmat @ lam11 @ bmat.T - lam21 @ bmat.T - bmat @ lam12
-    lam_star_inv = _solve_spd(lam_star, "Lambda*_II", ridge=True)
-
-    d_star = delta[k:] - bmat @ delta[:k]
-    statistic = float(d_star @ lam_star_inv @ d_star)
-    df = d2 * (p1 - p0)
-    p_asym = float(chisq_sf(statistic, df))
-    meta = {
-        "score": spec.kind,
-        "n": n,
-        "d": d,
-        "p0": p0,
-        "p1": p1,
-        "M": M_eff,
-        "seed": seed if M_eff is not None else None,
-    }
-
-    if M_eff is None:
-        cv = float(chisq_quantile(df, 1.0 - alpha))
-        return TestOutcome(
-            statistic=statistic,
-            df=df,
-            p_asymptotic=p_asym,
-            p_permutational=None,
-            critical_value=cv,
-            reject=statistic > cv,
-            meta=meta,
-        )
-
-    stats = np.empty(M_eff)
-    pos = 0
-    for perms in _iter_perm_chunks(n, M_eff, seed, exhaustive):
-        vs = _batched_stacks(a, b, m_vec, L, perms)
-        deltas = vs @ t_trunc.T
-        ds = deltas[:, k:] - deltas[:, :k] @ bmat.T
-        stats[pos: pos + perms.shape[0]] = np.einsum(
-            "mi,ij,mj->m", ds, lam_star_inv, ds
-        )
-        pos += perms.shape[0]
-    p_perm, cv = _permutation_calibration(stats, statistic, alpha)
-    return TestOutcome(
-        statistic=statistic,
-        df=df,
-        p_asymptotic=p_asym,
-        p_permutational=p_perm,
-        critical_value=cv,
-        reject=statistic > cv,
-        meta=meta,
+    # W is the form in Delta_II - B Delta_I = [-B, I] T v, whose covariance
+    # Lambda*_II = [-B, I] Lambda [-B, I]' is the block Gram of that map.
+    t = ops.T[:, : L * d2]
+    a = t[k:] - bmat @ t[:k]
+    k_inv = _solve_spd(
+        _block_gram(a, score_covariance(spec, d)), "Lambda*_II", ridge=True
+    )
+    meta = _meta(spec.kind, n, d, p0, p1, M_eff, seed)
+    return _outcome(
+        s, m_vec, L, a, k_inv, d2 * (p1 - p0), alpha, meta, M_eff, seed, exhaustive
     )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import chdtr, chdtrc, gammaincinv
 
 from ._errors import InputError
 from ._rng import stream
@@ -64,101 +64,30 @@ class ScoreSpec:
         return float(d)
 
 
-def _reg_gamma(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Regularized incomplete gamma pair (P, Q), vectorized over x >= 0.
-
-    Series expansion below the split point x = a + 1, Lentz continued
-    fraction above it; each branch computes its numerically natural member
-    and the other by complement.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.zeros_like(x)
-    q = np.ones_like(x)
-    small = x < a + 1.0
-    xs = x[small]
-    if xs.size:
-        term = np.ones_like(xs)
-        total = np.ones_like(xs)
-        ak = a
-        for _ in range(500):
-            ak += 1.0
-            term = term * xs / ak
-            total += term
-            if np.all(np.abs(term) <= np.abs(total) * 1e-17):
-                break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpre = a * np.log(np.where(xs > 0, xs, 1.0)) - xs - math.lgamma(a + 1.0)
-        ps = np.where(xs > 0, np.exp(logpre) * total, 0.0)
-        p[small] = ps
-        q[small] = 1.0 - ps
-    xl = x[~small]
-    if xl.size:
-        tiny = 1e-300
-        b = xl + 1.0 - a
-        c = np.full_like(xl, 1e300)
-        dd = 1.0 / np.where(np.abs(b) > tiny, b, tiny)
-        h = dd.copy()
-        for i in range(1, 1000):
-            an = -i * (i - a)
-            b = b + 2.0
-            dd = an * dd + b
-            dd = np.where(np.abs(dd) < tiny, tiny, dd)
-            c = b + an / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            dd = 1.0 / dd
-            delta = dd * c
-            h = h * delta
-            if np.all(np.abs(delta - 1.0) < 1e-16):
-                break
-        qs = np.exp(a * np.log(xl) - xl - math.lgamma(a)) * h
-        q[~small] = qs
-        p[~small] = 1.0 - qs
-    return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
-
-
 def chisq_cdf(x, df: float):
-    """Chi-square(df) distribution function."""
-    xx = np.asarray(x, dtype=float)
-    p, _ = _reg_gamma(df / 2.0, np.maximum(xx, 0.0) / 2.0)
-    return float(p) if np.isscalar(x) or xx.ndim == 0 else p
+    """Chi-square(df) distribution function (``scipy.special.chdtr``)."""
+    p = chdtr(df, np.maximum(x, 0.0))
+    return float(p) if np.ndim(x) == 0 else p
 
 
 def chisq_sf(x, df: float):
-    """Chi-square(df) survival function (upper tail)."""
-    xx = np.asarray(x, dtype=float)
-    _, q = _reg_gamma(df / 2.0, np.maximum(xx, 0.0) / 2.0)
-    return float(q) if np.isscalar(x) or xx.ndim == 0 else q
+    """Chi-square(df) survival function, the upper tail (``scipy.special.chdtrc``)."""
+    q = chdtrc(df, np.maximum(x, 0.0))
+    return float(q) if np.ndim(x) == 0 else q
 
 
 def chisq_quantile(df: float, p):
-    """Inverse chi-square(df) CDF.
+    """Inverse chi-square(df) CDF, 2 ``scipy.special.gammaincinv``(df/2, p).
 
-    Newton iteration on the regularized lower incomplete gamma, started at
-    the Wilson-Hilferty cube approximation; absolute tolerance 1e-10.
+    This is ``scipy.stats.chi2.ppf``.  Inverting the lower tail directly
+    keeps full relative accuracy for small p, which ``chdtri(df, 1 - p)``
+    loses to the rounding of 1 - p.
     """
     pp = np.asarray(p, dtype=float)
-    scalar = np.isscalar(p) or pp.ndim == 0
-    pp = np.atleast_1d(pp)
     if np.any((pp <= 0.0) | (pp >= 1.0)):
         raise ScoreError("probability must lie strictly in (0, 1)")
-    a = df / 2.0
-    z = ndtri(pp)
-    c = 2.0 / (9.0 * df)
-    x = df * np.maximum(1.0 - c + z * np.sqrt(c), 1e-4) ** 3
-    x = np.maximum(x, 1e-12)
-    lg = math.lgamma(a)
-    for _ in range(200):
-        cdf, _ = _reg_gamma(a, x / 2.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            logpdf = (a - 1.0) * np.log(x / 2.0) - x / 2.0 - lg - math.log(2.0)
-        pdf = np.maximum(np.exp(logpdf), 1e-300)
-        xn = x - (cdf - pp) / pdf
-        xn = np.where(xn <= 0.0, x / 2.0, xn)
-        if np.all(np.abs(xn - x) < 1e-10):
-            x = xn
-            break
-        x = xn
-    return float(x[0]) if scalar else x
+    x = 2.0 * gammaincinv(df / 2.0, pp)
+    return float(x) if pp.ndim == 0 else x
 
 
 def _radial(kind: str, r: np.ndarray, d: int) -> np.ndarray:
@@ -264,7 +193,6 @@ def centering(spec: ScoreSpec, grid: BallGrid) -> np.ndarray:
     """
     n = grid.n
     nz = n - grid.factorization.n_0
-    j1 = grid_scores(spec, 1, grid)[:nz]
-    j2 = grid_scores(spec, 2, grid)[:nz]
-    total = np.outer(j1.sum(0), j2.sum(0)) - j1.T @ j2
+    j = grid_scores(spec, 1, grid)[:nz]  # J1 = J2 for every ScoreSpec
+    total = np.outer(j.sum(0), j.sum(0)) - j.T @ j
     return total / (n * (n - 1.0))

@@ -339,7 +339,8 @@ def test_identify_rank_with_permutations(var1_csv, capsys):
     assert res["steps"][0]["p_permutational"] is not None
 
 
-def test_identify_partial_trace_on_failure(tmp_path, capsys):
+@pytest.mark.parametrize("score", ["sign", "gaussian"])
+def test_identify_partial_trace_on_failure(tmp_path, capsys, score):
     rng = np.random.default_rng(17)
     e = rng.standard_normal(151)
     w = np.empty(151)
@@ -348,13 +349,19 @@ def test_identify_partial_trace_on_failure(tmp_path, capsys):
         w[t] = 0.7 * w[t - 1] + e[t]
     path = tmp_path / "dup.csv"
     write_series(path, np.column_stack([w, w])[1:])
+    seed = ["--seed", "4"] if score == "sign" else []
     code, stdout, stderr = run_cli(capsys, "identify", "--data", str(path),
-                                   "--score", "sign", "--seed", "4")
+                                   "--score", score, *seed)
     assert code == 3
     assert "numerical failure" in stderr
     res = report_of(stdout)["results"]
     # the partial trace marks the failing step as the truncation point
     assert res["truncated"] is True
+    if score == "gaussian":
+        # the Gaussian statistic fails at p0 = 0 already (singular L)
+        assert res["selected_order"] == 0
+        assert res["steps"] == []
+        return
     assert res["selected_order"] == 1
     assert len(res["steps"]) == 1
     assert res["steps"][0]["p0"] == 0

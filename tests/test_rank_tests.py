@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from rankvar import (
     InputError,
     ScoreSpec,
     VarModel,
+    build_operator_matrices,
     central_sequence,
     estimate_upsilon,
     factorize,
     make_grid,
     permute_coupling,
     rank_cross_cov,
+    residuals,
     score_covariance,
     solve_coupling,
 )
@@ -56,36 +59,50 @@ def test_permutation_average_of_blocks_is_centering():
         assert np.any(stack.centering != 0.0)
 
 
-def enumerate_specified_stats(x, grid, spec):
-    """All 24 values of the white-noise statistic at n = 4, by hand.
+def enumerate_specified_stats(x, theta0, grid, spec):
+    """Every permutation's value of S, by the per-lag reference route.
 
-    For p0 = 0, p1 = 1 the statistic reduces to
+    S = H' (Q'(I kron C) Q)^{-1} H with H = sum_i (n-i)^{1/2} Q_i'
+    vec(Gamma_i - m), every Gamma_i taken from ``rank_cross_cov`` of the
+    permuted coupling.  For p0 = 0, p1 = 1 it reduces to
     (n - 1) vec(Gamma_1 - m)' C^{-1} vec(Gamma_1 - m).
     """
-    c = solve_coupling(x, grid)
-    c_inv = np.linalg.inv(score_covariance(spec, 2))
+    n = x.shape[0]
+    c = solve_coupling(residuals(x, theta0), grid)
+    ops = build_operator_matrices(theta0, n)
+    L = ops.effective_lags
+    q = ops.Q[: 4 * L]
+    gram = q.T @ np.kron(np.eye(L), score_covariance(spec, 2)) @ q
+    gram_inv = np.linalg.inv(gram)
+    w = np.sqrt(n - np.arange(1, L + 1))
     vals = []
-    for perm in itertools.permutations(range(4)):
-        stack = rank_cross_cov(permute_coupling(c, np.array(perm)), spec, 1)
-        v = (stack.blocks[0] - stack.centering).reshape(-1, order="F")
-        vals.append(3.0 * float(v @ c_inv @ v))
-    return np.array(vals)
+    for perm in itertools.permutations(range(n)):
+        stack = rank_cross_cov(permute_coupling(c, np.array(perm)), spec, L)
+        v = (stack.blocks - stack.centering).transpose(0, 2, 1).reshape(L, 4)
+        h = q.T @ (w[:, None] * v).reshape(-1)
+        vals.append(float(h @ gram_inv @ h))
+    return np.array(vals), L
 
 
 @pytest.mark.parametrize("kind", ["sign", "spearman", "vdw"])
 def test_exhaustive_calibration_matches_enumeration(kind):
-    grid = make_grid(factorize(4, 2), 2)
-    x = np.random.default_rng(7).standard_normal((4, 2))
     spec = ScoreSpec(kind)
-    out = rv.test_specified(x, ZERO2, spec, grid, exhaustive=True)
-    stats = enumerate_specified_stats(x, grid, spec)
-    assert out.meta["M"] == 24
-    obs = stats[0]  # identity permutation
-    assert np.isclose(out.statistic, obs, atol=1e-10)
-    # count ties inclusively, like the library's tie snapping
-    tol = 1e-9 * max(1.0, np.max(np.abs(stats)))
-    p_expected = (1 + int(np.sum(stats >= obs - tol))) / 25.0
-    assert np.isclose(out.p_permutational, p_expected, atol=1e-9)
+    var1 = VarModel.from_matrices([np.array([[0.5, 0.1], [0.0, 0.4]])], p1=2)
+    # white noise at lag 1 (n = 4), and a VAR(1) null in a VAR(2) frame
+    # whose operator rows reach the full horizon L = n - 1 = 6 (n = 7)
+    for theta0, n, lags in ((ZERO2, 4, 1), (var1, 7, 6)):
+        grid = make_grid(factorize(n, 2), 2)
+        x = np.random.default_rng(7).standard_normal((n, 2))
+        out = rv.test_specified(x, theta0, spec, grid, exhaustive=True)
+        stats, L = enumerate_specified_stats(x, theta0, grid, spec)
+        assert L == lags
+        assert out.meta["M"] == math.factorial(n)
+        obs = stats[0]  # identity permutation
+        assert np.isclose(out.statistic, obs, rtol=1e-10, atol=1e-10)
+        # count ties inclusively, like the library's tie snapping
+        tol = 1e-9 * max(1.0, np.max(np.abs(stats)))
+        p_expected = (1 + int(np.sum(stats >= obs - tol))) / (stats.size + 1.0)
+        assert np.isclose(out.p_permutational, p_expected, atol=1e-9)
 
 
 def test_statistics_are_shift_and_scale_invariant():
@@ -166,8 +183,6 @@ def test_upsilon_options():
 
 
 def test_central_sequence_requires_matching_truncation():
-    from rankvar import build_operator_matrices
-
     rng = np.random.default_rng(2)
     x = rng.standard_normal((120, 2))
     grid = make_grid(factorize(120, 2), 2)

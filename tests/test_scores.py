@@ -41,6 +41,9 @@ def test_chisq_quantile_round_trip(df):
     p = np.linspace(0.001, 0.999, 97)
     x = chisq_quantile(df, p)
     assert np.allclose(chisq_cdf(x, df), p, atol=1e-8)
+    # the lower tail keeps its relative accuracy, below the rounding of 1 - p
+    tiny = np.array([1e-17, 1e-12, 1e-8])
+    assert np.allclose(chisq_cdf(chisq_quantile(df, tiny), df), tiny, rtol=1e-10, atol=0.0)
     with pytest.raises(InputError):
         chisq_quantile(df, 0.0)
     with pytest.raises(InputError):
