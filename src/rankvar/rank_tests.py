@@ -31,6 +31,7 @@ from ._rng import fresh_seed, stream
 from .grid import BallGrid
 from .scores import (
     ScoreSpec,
+    _table_centering,
     centering,
     chisq_quantile,
     chisq_sf,
@@ -378,23 +379,26 @@ def _outcome(
     )
 
 
-def _delta_at(model: VarModel, x: np.ndarray, spec: ScoreSpec, grid: BallGrid, m_vec):
+def _delta_at(model: VarModel, x: np.ndarray, table: np.ndarray, grid: BallGrid, m_vec):
     """Scores, operator matrices and central sequence Delta at one parameter value.
 
-    Recomputes residuals, the coupling, and the operator matrices; Delta is
-    the map whose local slope in theta is -Upsilon.
+    Recomputes residuals, the coupling, and the operator matrices; ``table``
+    holds the gridpoint scores.  Delta is the map whose local slope in theta
+    is -Upsilon.
     """
     n, d = x.shape
     coupling = solve_coupling(residuals(x, model), grid)
     ops = build_operator_matrices(model, n)
-    s = grid_scores(spec, 1, grid)[coupling.assignment]
+    s = table[coupling.assignment]
     L = ops.effective_lags
     v = _lag_stacks(s, m_vec, L, np.arange(n)[None, :])[0]
     return s, ops, ops.T[:, : L * d * d] @ v
 
 
-def _centering_vec(spec: ScoreSpec, grid: BallGrid) -> np.ndarray:
-    return centering(spec, grid).reshape(-1, order="F")
+def _scores_and_centering(spec: ScoreSpec, grid: BallGrid):
+    """Gridpoint score table and vec of the null mean: computed once per test."""
+    table = grid_scores(spec, 1, grid)
+    return table, _table_centering(table, grid).reshape(-1, order="F")
 
 
 def test_specified(
@@ -421,8 +425,8 @@ def test_specified(
         raise InputError(f"theta0 has d={theta0.d}, series has d={d}")
     M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
 
-    m_vec = _centering_vec(spec, grid)
-    s, ops, _ = _delta_at(theta0, x, spec, grid, m_vec)
+    table, m_vec = _scores_and_centering(spec, grid)
+    s, ops, _ = _delta_at(theta0, x, table, grid, m_vec)
     L = ops.effective_lags
     a = ops.Q[: L * d * d].T
     k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
@@ -472,14 +476,22 @@ def estimate_upsilon(
     if any(not 1 <= c <= k for c in columns):
         raise InputError(f"columns must lie in 1..{k}")
     h0 = n ** -0.5 if step is None else float(step)
-
-    ups = np.zeros((p1 * d * d, k))
     if h0 == 0.0:
-        return ups
-    m_vec = _centering_vec(spec, grid)
+        return np.zeros((p1 * d * d, k))
+    table, m_vec = _scores_and_centering(spec, grid)
     if base_delta is None:
-        base_delta = _delta_at(theta_hat, x, spec, grid, m_vec)[2]
+        base_delta = _delta_at(theta_hat, x, table, grid, m_vec)[2]
+    return _upsilon(x, theta_hat, table, grid, m_vec, base_delta, columns, h0)
 
+
+def _upsilon(x, theta_hat: VarModel, table, grid, m_vec, base_delta, columns, h0):
+    """The finite-difference loop of :func:`estimate_upsilon` on validated inputs.
+
+    ``table`` and ``m_vec`` are the caller's gridpoint scores and null mean.
+    """
+    n = x.shape[0]
+    d, p0, p1 = theta_hat.d, theta_hat.p0, theta_hat.p1
+    ups = np.zeros((p1 * d * d, p0 * d * d))
     for col in columns:
         h = h0
         for _ in range(11):
@@ -493,7 +505,7 @@ def estimate_upsilon(
             raise NumericalError(
                 f"perturbation of coordinate {col} cannot stay stationary"
             )
-        delta_p = _delta_at(model_p, x, spec, grid, m_vec)[2]
+        delta_p = _delta_at(model_p, x, table, grid, m_vec)[2]
         ups[:, col - 1] = -(delta_p - base_delta) / (h * math.sqrt(n))
     return ups
 
@@ -533,13 +545,13 @@ def test_order(
 
     M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
     theta_hat = fit_constrained_ls(x, p0, p1)
-    m_vec = _centering_vec(spec, grid)
-    s, ops, delta = _delta_at(theta_hat, x, spec, grid, m_vec)
+    table, m_vec = _scores_and_centering(spec, grid)
+    s, ops, delta = _delta_at(theta_hat, x, table, grid, m_vec)
     L = ops.effective_lags
     d2 = d * d
     k = d2 * p0
 
-    ups = estimate_upsilon(x, theta_hat, spec, grid, base_delta=delta)
+    ups = _upsilon(x, theta_hat, table, grid, m_vec, delta, range(1, k + 1), n ** -0.5)
     # Upsilon_11 is only symmetric in the limit; invert it as-is, with the
     # trace ridge, solving from the right for B = Upsilon_21 Upsilon_11^{-1}.
     u11 = ups[:k] + 1e-10 * abs(np.trace(ups[:k])) * np.eye(k)

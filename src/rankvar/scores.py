@@ -191,8 +191,12 @@ def centering(spec: ScoreSpec, grid: BallGrid) -> np.ndarray:
     grid the product term vanishes because the scores are odd, but the
     diagonal correction never does; the matrix is O(1/n), not zero.
     """
+    return _table_centering(grid_scores(spec, 1, grid), grid)
+
+
+def _table_centering(table: np.ndarray, grid: BallGrid) -> np.ndarray:
+    """:func:`centering` from the gridpoint score table ``grid_scores(spec, 1, grid)``."""
     n = grid.n
-    nz = n - grid.factorization.n_0
-    j = grid_scores(spec, 1, grid)[:nz]  # J1 = J2 for every ScoreSpec
+    j = table[: n - grid.factorization.n_0]  # J1 = J2 for every ScoreSpec
     total = np.outer(j.sum(0), j.sum(0)) - j.T @ j
     return total / (n * (n - 1.0))

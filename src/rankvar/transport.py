@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._errors import InputError
+from ._errors import InputError, NumericalError
 from .grid import BallGrid
 
 __all__ = ["Coupling", "solve_coupling", "coupling_cost", "permute_coupling"]
@@ -55,26 +55,24 @@ def _canonicalize_ties(assignment: np.ndarray, grid: BallGrid) -> np.ndarray:
     """Make the assignment deterministic across duplicate gridpoints.
 
     Gridpoints with identical coordinates (the n_0 origin copies, and any
-    exact duplicates) are interchangeable without changing the cost; within
-    each duplicate group the earliest observation gets the lowest gridpoint
-    index.
+    exact duplicates, compared bytewise) are interchangeable without changing
+    the cost; within each duplicate group the earliest observation gets the
+    lowest gridpoint index.
     """
-    by_coords: dict[bytes, list[int]] = {}
-    for idx in range(grid.n):
-        by_coords.setdefault(grid.points[idx].tobytes(), []).append(idx)
-    dup_groups = [sorted(m) for m in by_coords.values() if len(m) > 1]
-    if not dup_groups:
+    pts = np.ascontiguousarray(grid.points)
+    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))).ravel()
+    _, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    tied = counts[group] > 1
+    if not tied.any():
         return assignment
-    group_of = {g: gi for gi, members in enumerate(dup_groups) for g in members}
-    times: list[list[int]] = [[] for _ in dup_groups]
+    # Sorted by group, stably: tied observations in time order, tied gridpoints
+    # in index order; a bijection gives each group as many of one as the other.
+    times = np.flatnonzero(tied[assignment])
+    members = np.flatnonzero(tied)
     out = assignment.copy()
-    for t, g in enumerate(out):
-        gi = group_of.get(int(g))
-        if gi is not None:
-            times[gi].append(t)
-    for gi, members in enumerate(dup_groups):
-        for t, g in zip(times[gi], members):
-            out[t] = g
+    out[times[np.argsort(group[assignment[times]], kind="stable")]] = members[
+        np.argsort(group[members], kind="stable")
+    ]
     return out
 
 
@@ -100,6 +98,12 @@ def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
     residuals : (n, d) array
         Must match the grid's n and d; all entries finite.
     grid : BallGrid
+
+    Raises
+    ------
+    NumericalError
+        If the squared distances overflow to infinity (residuals near the
+        square root of the largest float).
     """
     z = np.asarray(residuals, dtype=float)
     if z.ndim != 2:
@@ -113,7 +117,10 @@ def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
         raise TransportError("non-finite residual entries")
     g = grid.points
     # ||z - g||^2 expanded; the -2 z g' term is the only O(n^2 d) product.
-    cost = (z * z).sum(1)[:, None] + (g * g).sum(1)[None, :] - 2.0 * (z @ g.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = (z * z).sum(1)[:, None] + (g * g).sum(1)[None, :] - 2.0 * (z @ g.T)
+    if not np.isfinite(cost).all():
+        raise NumericalError("squared-distance cost overflows; rescale the residuals")
     rows, cols = linear_sum_assignment(cost)
     assignment = np.empty(n, dtype=int)
     assignment[rows] = cols

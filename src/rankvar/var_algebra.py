@@ -5,8 +5,9 @@ column-major vec.  Null models of order p0 < p1 carry trailing zero blocks.
 The operator matrices M, P, Q and T = M'P'Q' translate the d^2 p1 central
 sequence into the span of the first n - 1 lagged cross-covariances; they are
 built from the Green matrices of the autoregressive operator A(L) and of its
-right inverse D(L), following the triangular recursions those operators
-satisfy.
+right inverse D(L).  The D(L) recursion runs in companion form, one
+(d x d p0)(d p0 x d p0) product per lag, and the Kronecker expansions
+kron(B, I_d) behind M and Q are each one broadcast over all blocks.
 """
 
 from __future__ import annotations
@@ -257,6 +258,11 @@ def green_matrices(model: VarModel, horizon: int) -> np.ndarray:
     if horizon < 0:
         raise InputError(f"need horizon >= 0, got {horizon}")
     _require_stationary(model)
+    return _greens(model, horizon)
+
+
+def _greens(model: VarModel, horizon: int) -> np.ndarray:
+    """:func:`green_matrices` for a model already checked to be stationary."""
     d = model.d
     a_list = model.a_list
     g = np.zeros((horizon + 1, d, d))
@@ -325,63 +331,65 @@ def _d_coefficients(greens: np.ndarray, p0: int) -> list[np.ndarray]:
     return [m.T for m in d_t]
 
 
+def _kron_eye(blocks: np.ndarray, d: int) -> np.ndarray:
+    """kron(B, I_d) for every trailing 2-d block B of ``blocks``, in one broadcast."""
+    *lead, r, c = blocks.shape
+    wide = blocks[..., :, None, :, None] * np.eye(d)[:, None, :]
+    return wide.reshape(*lead, r * d, c * d)
+
+
+def _lower_block_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """The k x k block matrix with block (r, c) = blocks[r - c] for r >= c, else 0."""
+    k, b1, b2 = blocks.shape
+    lag = np.subtract.outer(np.arange(k), np.arange(k))
+    lag[lag < 0] = k  # index of an appended zero block
+    padded = np.concatenate([blocks, np.zeros((1, b1, b2))])
+    return padded[lag].transpose(0, 2, 1, 3).reshape(k * b1, k * b2)
+
+
 def _fundamental_rows(
     model: VarModel,
     n: int,
     d_coeffs: list[np.ndarray],
     fundamental: str,
-) -> tuple[list[np.ndarray], int]:
+) -> tuple[np.ndarray, int]:
     """Rows [psi_t^{(1)} ... psi_t^{(p0)}] of the fundamental system.
 
-    Rows are indexed t = p1 - p0 + 1, ..., and extended forward by
-    psi_t = -sum_i D_i psi_{t-i}.  The initial window is either the
-    identity basis (Casorati matrix = I) or the Green matrices of D(L).
+    Rows are indexed t = p1 - p0 + 1, ... and returned as a (rows, d, d p0)
+    array.  The initial window of p0 rows is either the identity basis
+    (Casorati matrix = I) or the Green matrices of D(L).  Later rows follow
+    psi_t = -sum_i D_i psi_{t-i} in companion form: the p0 preceding rows,
+    stacked, are one (d p0 x d p0) matrix, and each new row is the single
+    product [-D_p0 ... -D_1] times it, written into a preallocated array.
     Extension stops once p0 consecutive rows fall below 1e-12 in max norm
-    (all later rows are then negligible) or at t = n - 1.
+    (all later rows are then negligible) or at t = n - 1; trailing rows
+    below that bound are dropped.
     """
     d, p0, p1 = model.d, model.p0, model.p1
-    rows: list[np.ndarray] = []
+    dp = d * p0
     if fundamental == "identity":
-        for a in range(1, p0 + 1):
-            row = np.zeros((d, d * p0))
-            row[:, (a - 1) * d: a * d] = np.eye(d)
-            rows.append(row)
-    elif fundamental == "green":
-        # H_0 = I, H_u = -sum_i D_i H_{u-i}: Green matrices of D(L).
-        h = [np.eye(d)]
-        for u in range(1, p0):
-            acc = np.zeros((d, d))
-            for i, di in enumerate(d_coeffs, start=1):
-                if u - i >= 0:
-                    acc -= di @ h[u - i]
-            h.append(acc)
-        for a in range(1, p0 + 1):
-            row = np.zeros((d, d * p0))
-            for j in range(1, a + 1):
-                row[:, (j - 1) * d: j * d] = h[a - j]
-            rows.append(row)
+        window = np.eye(dp)
     else:
-        raise InputError(f"unknown fundamental system {fundamental!r}")
+        # H_0 = I, H_u = -sum_i D_i H_{u-i}: Green matrices of D(L).
+        h = np.zeros((p0, d, d))
+        h[0] = np.eye(d)
+        for u in range(1, p0):
+            for i in range(1, u + 1):
+                h[u] -= d_coeffs[i - 1] @ h[u - i]
+        window = _lower_block_toeplitz(h)
 
-    # Forward extension to t = n - 1 with early truncation.
-    t_max = n - 1 - (p1 - p0)
-    quiet = 0
-    while len(rows) < t_max:
-        row = np.zeros((d, d * p0))
-        for i, di in enumerate(d_coeffs, start=1):
-            row -= di @ rows[-i]
-        if np.max(np.abs(row)) < 1e-12:
-            quiet += 1
-            if quiet >= p0:
+    rows = np.empty((n - 1 - (p1 - p0), d, dp))
+    rows[:p0] = window.reshape(p0, d, dp)
+    step = -np.concatenate(d_coeffs[::-1], axis=1)
+    length = p0  # rows kept: through the last one not below the bound
+    for k in range(p0, rows.shape[0]):
+        row = np.matmul(step, rows[k - p0:k].reshape(dp, dp), out=rows[k])
+        if abs(row).max() < 1e-12:
+            if k + 1 - length >= p0:
                 break
         else:
-            quiet = 0
-        rows.append(row)
-    # Drop the trailing all-quiet rows; they are zero for all purposes.
-    while len(rows) > p0 and np.max(np.abs(rows[-1])) < 1e-12:
-        rows.pop()
-    effective = (p1 - p0) + len(rows)
-    return rows, effective
+            length = k + 1
+    return rows[:length], (p1 - p0) + length
 
 
 def build_operator_matrices(
@@ -414,36 +422,26 @@ def build_operator_matrices(
     if n <= p1 + 1:
         raise InputError(f"need n > p1 + 1 = {p1 + 1}, got n={n}")
     _require_stationary(model)
+    if fundamental not in ("identity", "green"):
+        raise InputError(f"unknown fundamental system {fundamental!r}")
     d2 = d * d
-    greens = green_matrices(model, p1)
-
-    m = np.zeros((d2 * p1, d2 * p1))
-    eye_d = np.eye(d)
-    for r in range(1, p1 + 1):
-        for c in range(1, r + 1):
-            m[(r - 1) * d2: r * d2, (c - 1) * d2: c * d2] = np.kron(
-                greens[r - c].T, eye_d
-            )
+    greens = _greens(model, p1)
+    m = _lower_block_toeplitz(_kron_eye(greens[:p1].transpose(0, 2, 1), d))
 
     q = np.zeros((d2 * (n - 1), d2 * p1))
     head = d2 * (p1 - p0)
     q[:head, :head] = np.eye(head)
     p_mat = np.eye(d2 * p1)
-
+    effective = p1
     if p0 > 0:
         d_coeffs = _d_coefficients(greens, p0)
         rows, effective = _fundamental_rows(model, n, d_coeffs, fundamental)
-        for k, row in enumerate(rows):
-            t = p1 - p0 + 1 + k  # lag index of this block row
-            q[(t - 1) * d2: t * d2, head:] = np.kron(row, eye_d)
+        # Block row t = p1 - p0 + 1 + k of Q is kron(rows[k], I_d).
+        expanded = _kron_eye(rows, d).reshape(-1, d2 * p0)
+        q[head: head + expanded.shape[0], head:] = expanded
         if fundamental != "identity":
             # Casorati matrix at horizon p1: rows t = p1-p0+1 .. p1.
-            casorati = np.vstack([np.kron(rows[a], eye_d) for a in range(p0)])
-            p_mat[head:, head:] = np.linalg.inv(casorati)
-    else:
-        if fundamental not in ("identity", "green"):
-            raise InputError(f"unknown fundamental system {fundamental!r}")
-        effective = p1
+            p_mat[head:, head:] = np.linalg.inv(expanded[: d2 * p0])
 
     t_mat = m.T @ p_mat.T @ q.T
     return OperatorMatrices(

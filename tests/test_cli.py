@@ -315,6 +315,18 @@ def test_order_collinear_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in stderr
 
 
+@pytest.mark.parametrize("p0", ["0", "1"])
+def test_order_overflowing_data_is_numerical_failure(tmp_path, capsys, p0):
+    x = np.random.default_rng(4).standard_normal((60, 2)) * 1e160
+    path = tmp_path / "big.csv"
+    write_series(path, x)
+    code, _, stderr = run_cli(capsys, "test-order", "--data", str(path),
+                              "--p0", p0, "--p1", "2", "--score", "vdw",
+                              "--seed", "1")
+    assert code == 3
+    assert "cost overflows" in stderr
+
+
 # ---------------------------------------------------------------- identify
 
 

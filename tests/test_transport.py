@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from rankvar import (
     GridFactorization,
     InputError,
+    NumericalError,
     coupling_cost,
     factorize,
     make_grid,
     permute_coupling,
     solve_coupling,
 )
+from rankvar.transport import _canonicalize_ties
 
 
 def brute_force_cost(residuals, grid):
@@ -66,6 +69,58 @@ def test_tie_handling_is_deterministic():
     a = solve_coupling(x, grid).assignment
     b = solve_coupling(x, grid).assignment
     assert np.array_equal(a, b)
+
+
+def dict_canonicalize(assignment, grid):
+    """Oracle: group duplicate gridpoints by their bytes in a dict, one point at a time."""
+    by_coords = {}
+    for idx in range(grid.n):
+        by_coords.setdefault(grid.points[idx].tobytes(), []).append(idx)
+    out = assignment.copy()
+    for members in by_coords.values():
+        if len(members) > 1:
+            times = [t for t, g in enumerate(assignment) if g in members]
+            out[times] = sorted(members)
+    return out
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_tie_canonicalization_matches_dict_oracle(trial):
+    rng = np.random.default_rng(900 + trial)
+    d = int(rng.integers(1, 4))
+    n = int(rng.integers(3, 250))
+    grid = make_grid(factorize(n, d), d, seed=trial)
+    if trial % 2:
+        # exact duplicates away from the origin form further tie groups
+        pts = grid.points.copy()
+        src, dst = rng.choice(n, size=(2, 3), replace=False)
+        pts[dst] = pts[src]
+        grid = dataclasses.replace(grid, points=pts)
+    assignment = rng.permutation(n)
+    want = dict_canonicalize(assignment, grid)
+    assert np.array_equal(_canonicalize_ties(assignment, grid), want)
+
+
+def test_canonical_assignment_ignores_which_origin_copy():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((200, 2))
+    grid = make_grid(factorize(200, 2), 2, seed=4)
+    n_0 = grid.factorization.n_0
+    assert n_0 >= 2
+    canonical = solve_coupling(x, grid).assignment
+    origin = np.arange(200 - n_0, 200)
+    holders = np.flatnonzero(np.isin(canonical, origin))
+    for _ in range(10):
+        shuffled = canonical.copy()
+        shuffled[holders] = rng.permutation(canonical[holders])
+        assert np.array_equal(_canonicalize_ties(shuffled, grid), canonical)
+
+
+def test_overflowing_cost_is_a_numerical_error():
+    x = np.random.default_rng(6).standard_normal((60, 2)) * 1e160
+    grid = make_grid(factorize(60, 2), 2)
+    with pytest.raises(NumericalError, match="overflows"):
+        solve_coupling(x, grid)
 
 
 def test_permute_coupling():

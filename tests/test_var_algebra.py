@@ -17,6 +17,82 @@ from rankvar import (
 from rankvar.var_algebra import _d_coefficients
 
 
+def kron_loop_operators(model, n, fundamental="identity"):
+    """Oracle: M, P, Q, T and effective_lags built one block and one lag at a time.
+
+    Fundamental rows follow psi_t = -sum_i D_i psi_{t-i} as a list, one
+    product per coefficient; every block of M and Q is its own np.kron.
+    """
+    d, p0, p1 = model.d, model.p0, model.p1
+    d2 = d * d
+    eye_d = np.eye(d)
+    greens = green_matrices(model, p1)
+    m = np.zeros((d2 * p1, d2 * p1))
+    for r in range(1, p1 + 1):
+        for c in range(1, r + 1):
+            m[(r - 1) * d2: r * d2, (c - 1) * d2: c * d2] = np.kron(greens[r - c].T, eye_d)
+    q = np.zeros((d2 * (n - 1), d2 * p1))
+    head = d2 * (p1 - p0)
+    q[:head, :head] = np.eye(head)
+    p_mat = np.eye(d2 * p1)
+    effective = p1
+    if p0 > 0:
+        d_coeffs = _d_coefficients(greens, p0)
+        rows = []
+        if fundamental == "identity":
+            for a in range(p0):
+                row = np.zeros((d, d * p0))
+                row[:, a * d: (a + 1) * d] = eye_d
+                rows.append(row)
+        else:
+            h = [eye_d]
+            for u in range(1, p0):
+                acc = np.zeros((d, d))
+                for i, di in enumerate(d_coeffs, start=1):
+                    if u - i >= 0:
+                        acc -= di @ h[u - i]
+                h.append(acc)
+            for a in range(1, p0 + 1):
+                row = np.zeros((d, d * p0))
+                for j in range(1, a + 1):
+                    row[:, (j - 1) * d: j * d] = h[a - j]
+                rows.append(row)
+        quiet = 0
+        while len(rows) < n - 1 - (p1 - p0):
+            row = np.zeros((d, d * p0))
+            for i, di in enumerate(d_coeffs, start=1):
+                row -= di @ rows[-i]
+            if np.max(np.abs(row)) < 1e-12:
+                quiet += 1
+                if quiet >= p0:
+                    break
+            else:
+                quiet = 0
+            rows.append(row)
+        while len(rows) > p0 and np.max(np.abs(rows[-1])) < 1e-12:
+            rows.pop()
+        effective = (p1 - p0) + len(rows)
+        for k, row in enumerate(rows):
+            t = p1 - p0 + 1 + k
+            q[(t - 1) * d2: t * d2, head:] = np.kron(row, eye_d)
+        if fundamental != "identity":
+            casorati = np.vstack([np.kron(rows[a], eye_d) for a in range(p0)])
+            p_mat[head:, head:] = np.linalg.inv(casorati)
+    return m, p_mat, q, m.T @ p_mat.T @ q.T, effective
+
+
+def assert_matches_oracle(model, n, fundamental):
+    ops = build_operator_matrices(model, n, fundamental=fundamental)
+    m, p_mat, q, t, effective = kron_loop_operators(model, n, fundamental)
+    assert np.array_equal(ops.M, m)
+    assert np.array_equal(ops.P, p_mat)
+    assert ops.effective_lags == effective
+    for got, want in ((ops.Q, q), (ops.T, t)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    return ops
+
+
 def random_stationary(rng, d, p0, p1=None):
     """Random VAR(p0) scaled until the companion radius is below 0.9."""
     mats = [rng.standard_normal((d, d)) for _ in range(p0)]
@@ -146,6 +222,32 @@ def test_p0_zero_operator_matrices():
     t_expected = np.zeros((8, 4 * 29))
     t_expected[:, :8] = np.eye(8)
     assert np.allclose(ops.T, t_expected)
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_builder_matches_kron_loop_oracle(trial):
+    # 25 random stationary models per trial, each under both fundamental systems
+    rng = np.random.default_rng(4100 + trial)
+    for _ in range(25):
+        d = int(rng.integers(1, 4))
+        p0 = int(rng.integers(0, 4))
+        p1 = max(1, p0 + int(rng.integers(0, 3)))
+        n = int(rng.integers(p1 + 2, 501))
+        if p0 == 0:
+            model = VarModel(d=d, p0=0, p1=p1, theta=np.zeros(p1 * d * d))
+        else:
+            model = random_stationary(rng, d, p0, p1=p1)
+        for fundamental in ("identity", "green"):
+            assert_matches_oracle(model, n, fundamental)
+
+
+def test_near_unit_root_reaches_full_horizon():
+    # spectral radius 0.97: 0.97^t stays above 1e-12 past t = 799
+    model = VarModel.from_matrices([np.array([[0.97, 0.2], [0.0, 0.5]])], p1=2)
+    assert np.isclose(model.spectral_radius(), 0.97)
+    for fundamental in ("identity", "green"):
+        ops = assert_matches_oracle(model, 800, fundamental)
+        assert ops.effective_lags == 799
 
 
 def test_effective_lags_truncation():
