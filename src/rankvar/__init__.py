@@ -22,9 +22,7 @@ from .scores import (
     chisq_cdf,
     chisq_quantile,
     chisq_sf,
-    eval_score,
     grid_scores,
-    mc_score_covariance,
     score_covariance,
 )
 from .var_algebra import (
@@ -87,7 +85,6 @@ __all__ = [
     "contaminate",
     "coupling_cost",
     "estimate_upsilon",
-    "eval_score",
     "factorize",
     "fit_constrained_ls",
     "gaussian_test_order",
@@ -98,7 +95,6 @@ __all__ = [
     "innovation_preset",
     "make_grid",
     "make_sphere_grid",
-    "mc_score_covariance",
     "parse_config",
     "permute_coupling",
     "rank_cross_cov",

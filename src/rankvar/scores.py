@@ -10,22 +10,18 @@ moment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtr, chdtrc, gammaincinv
 
 from ._errors import InputError
-from ._rng import stream
 from .grid import BallGrid
 
 __all__ = [
     "ScoreSpec",
-    "eval_score",
     "grid_scores",
     "score_covariance",
-    "mc_score_covariance",
     "centering",
     "chisq_cdf",
     "chisq_sf",
@@ -102,31 +98,6 @@ def _radial(kind: str, r: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def eval_score(spec: ScoreSpec, which: int, f_value: np.ndarray, n_R: int) -> np.ndarray:
-    """Score J_which evaluated at one F-value on a grid with n_R radii.
-
-    The origin maps to the zero vector for all three scores.  For the vdW
-    score the norm must sit on a grid radius j/(n_R+1) to within 1e-9.
-    """
-    if which not in (1, 2):
-        raise ScoreError(f"which must be 1 or 2, got {which}")
-    f = np.asarray(f_value, dtype=float)
-    d = f.shape[0]
-    r = float(np.linalg.norm(f))
-    if r > n_R / (n_R + 1.0) + 1e-9:
-        raise ScoreError(f"norm {r} exceeds the outermost grid radius")
-    if r < 1e-12:
-        return np.zeros(d)
-    if spec.kind == "sign":
-        return f / r
-    if spec.kind == "spearman":
-        return f.copy()
-    j = round(r * (n_R + 1))
-    if abs(r - j / (n_R + 1.0)) > 1e-9 or not 1 <= j <= n_R:
-        raise ScoreError(f"norm {r} is not a grid radius for n_R={n_R}")
-    return math.sqrt(chisq_quantile(d, j / (n_R + 1.0))) * (f / r)
-
-
 def grid_scores(spec: ScoreSpec, which: int, grid: BallGrid) -> np.ndarray:
     """Scores of every gridpoint, as an (n, d) array.
 
@@ -152,30 +123,6 @@ def score_covariance(spec: ScoreSpec, d: int) -> np.ndarray:
     """
     s2 = spec.radial_second_moment(d)
     return (s2 * s2 / d**2) * np.eye(d * d)
-
-
-def mc_score_covariance(
-    spec: ScoreSpec, d: int, n_draws: int = 10**6, seed: int = 0
-) -> np.ndarray:
-    """Monte Carlo estimate of C over U_d (validation path, custom scores).
-
-    Uses two independent samples for the inner and outer integrals.
-    """
-    rng = stream(seed, 97, d)
-
-    def sample(m):
-        g = rng.standard_normal((m, d))
-        u = g / np.linalg.norm(g, axis=1, keepdims=True)
-        r = rng.uniform(size=m)
-        return _radial(spec.kind, r, d)[:, None] * u
-
-    j2 = sample(n_draws)
-    b = j2.T @ j2 / n_draws
-    b_mean = j2.mean(0)
-    j1 = sample(n_draws)
-    a = j1.T @ j1 / n_draws
-    a_mean = j1.mean(0)
-    return np.kron(b, a) - np.kron(np.outer(b_mean, b_mean), np.outer(a_mean, a_mean))
 
 
 def centering(spec: ScoreSpec, grid: BallGrid) -> np.ndarray:

@@ -5,7 +5,9 @@ configurable scale: rejection frequencies of white-noise tests across a
 family of alternatives l * A, or under-/correct/over-identification counts
 of the sequential order selection.  Replications carry deterministically
 derived RNG streams, so a study is bit-reproducible for a given seed no
-matter how many workers share it.
+matter how many workers share it.  All tests of one simulated series couple
+the same residuals to the same grids, so each optimal coupling is solved
+once per series and shared by the tests; nothing is shared across series.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .grid import BallGrid, factorize, make_grid, make_sphere_grid
 from .order_id import identify_order
 from .rank_tests import test_order
 from .scores import ScoreSpec, chisq_quantile
+from .transport import _shared_couplings
 from .var_algebra import VarModel, simulate_var
 
 __all__ = [
@@ -490,10 +493,9 @@ def _replicate(config: StudyConfig, grids: dict[str, BallGrid], rep: int) -> lis
         if config.contamination is not None:
             x = contaminate(x, config.contamination)
 
-        if config.task == "reject":
-            records.extend(_reject_cell(config, grids, rep, ell_idx, x))
-        else:
-            records.extend(_identify_cell(config, grids, rep, ell_idx, x))
+        cell = _reject_cell if config.task == "reject" else _identify_cell
+        with _shared_couplings():
+            records.extend(cell(config, grids, rep, ell_idx, x))
     return records
 
 
@@ -650,7 +652,9 @@ def run_study(config: StudyConfig) -> StudyReport:
     Replications are split across processes when ``threads`` (or the
     RANKVAR_THREADS environment variable) exceeds one; results are
     identical for any worker count because each replication derives its
-    randomness from (seed, replication index) alone.
+    randomness from (seed, replication index) alone.  The tests of one
+    simulated series share its optimal couplings (see the module
+    docstring), which changes no result.
     """
     if config.innovations is None:
         raise InputError("config has no innovation model")

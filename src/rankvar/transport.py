@@ -4,16 +4,31 @@ The empirical center-outward distribution function F is the minimizer of
 sum_t ||Z_t - F(Z_t)||^2 over all bijections from the sample onto the grid.
 Ranks and signs are read off the assigned gridpoints: the rank is the radius
 index of the gridpoint (0 at the origin) and the sign its unit direction.
+
+Expanding ||Z_t - g_k||^2 = |Z_t|^2 + |g_k|^2 - 2 Z_t'g_k, the row term
+|Z_t|^2 is the same for every bijection, so the solver gets the cost
+|g_k|^2 - 2 Z_t'g_k, which has the same optimum.  Without the row term the
+cost scales with the residuals, and residuals whose largest entry lies
+outside [1/2, 2^500] are first brought into that range by an exact power
+of two, where the cross term neither overflows nor drowns in |g_k|^2 <= 1.
+The coupling is therefore invariant to the scale of the residuals.
+
+Inside :func:`_shared_couplings` a coupling is solved once per distinct
+(residuals, grid) pair and returned again for the same pair; the Monte
+Carlo engine opens one such scope per simulated series, whose tests all
+couple the same residuals.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._errors import InputError, NumericalError
+from ._errors import InputError
 from .grid import BallGrid
 
 __all__ = ["Coupling", "solve_coupling", "coupling_cost", "permute_coupling"]
@@ -38,6 +53,8 @@ class Coupling:
     signs : (n, d) array
         Center-outward signs (zero vector on origin copies).
     grid : BallGrid
+
+    The arrays are read-only: a coupling may be shared between tests.
     """
 
     assignment: np.ndarray
@@ -77,33 +94,45 @@ def _canonicalize_ties(assignment: np.ndarray, grid: BallGrid) -> np.ndarray:
 
 
 def _from_assignment(assignment: np.ndarray, grid: BallGrid) -> Coupling:
-    return Coupling(
-        assignment=assignment,
-        f_values=grid.points[assignment],
-        ranks=grid.point_ranks[assignment],
-        signs=grid.point_signs[assignment],
-        grid=grid,
+    arrays = (
+        assignment,
+        grid.points[assignment],
+        grid.point_ranks[assignment],
+        grid.point_signs[assignment],
     )
+    for a in arrays:
+        a.setflags(write=False)
+    return Coupling(*arrays, grid=grid)
+
+
+# (id(grid), residual bytes) -> Coupling within a _shared_couplings scope.  A
+# stored Coupling holds its grid, so no id is reused while the scope is open.
+_SHARED: ContextVar[dict | None] = ContextVar("rankvar_shared_couplings", default=None)
+
+
+@contextmanager
+def _shared_couplings():
+    """Scope in which :func:`solve_coupling` solves each (residuals, grid) once."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
     """Optimal L2 coupling of residuals onto the grid.
 
-    Solves the linear sum assignment problem on the n x n matrix of squared
-    Euclidean distances with an exact solver, then derives ranks and signs
-    from the assigned gridpoints.
+    Solves the linear sum assignment problem on the n x n squared-distance
+    cost, less its row term (see the module docstring), with an exact
+    solver, then derives ranks and signs from the assigned gridpoints.  The
+    result does not depend on the scale of the residuals.
 
     Parameters
     ----------
     residuals : (n, d) array
         Must match the grid's n and d; all entries finite.
     grid : BallGrid
-
-    Raises
-    ------
-    NumericalError
-        If the squared distances overflow to infinity (residuals near the
-        square root of the largest float).
     """
     z = np.asarray(residuals, dtype=float)
     if z.ndim != 2:
@@ -115,17 +144,21 @@ def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
         raise TransportError(f"residual dimension {d} vs grid dimension {grid.d}")
     if not np.isfinite(z).all():
         raise TransportError("non-finite residual entries")
+    shared = _SHARED.get()
+    key = (id(grid), z.tobytes())
+    if shared is not None and key in shared:
+        return shared[key]
+    top = np.abs(z).max()
+    if not 0.5 <= top <= 2.0**500:
+        z = np.ldexp(z, -np.frexp(top)[1])  # max |z| into [1/2, 1); 0 stays 0
     g = grid.points
-    # ||z - g||^2 expanded; the -2 z g' term is the only O(n^2 d) product.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost = (z * z).sum(1)[:, None] + (g * g).sum(1)[None, :] - 2.0 * (z @ g.T)
-    if not np.isfinite(cost).all():
-        raise NumericalError("squared-distance cost overflows; rescale the residuals")
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment((g * g).sum(1)[None, :] - 2.0 * (z @ g.T))
     assignment = np.empty(n, dtype=int)
     assignment[rows] = cols
-    assignment = _canonicalize_ties(assignment, grid)
-    return _from_assignment(assignment, grid)
+    coupling = _from_assignment(_canonicalize_ties(assignment, grid), grid)
+    if shared is not None:
+        shared[key] = coupling
+    return coupling
 
 
 def coupling_cost(c: Coupling, residuals: np.ndarray) -> float:

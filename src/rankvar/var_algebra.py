@@ -13,6 +13,7 @@ kron(B, I_d) behind M and Q are each one broadcast over all blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,8 @@ class VarModel:
     p1 : int
         Alternative order, p1 >= p0.  Blocks p0+1..p1 of theta must be zero.
     theta : (p1 * d**2,) array
-        Stacked (vec A_1, ..., vec A_p1), column-major.
+        Stacked (vec A_1, ..., vec A_p1), column-major; stored as a
+        read-only copy, so the spectral radius is computed once per model.
     """
 
     d: int
@@ -71,7 +73,8 @@ class VarModel:
             raise InputError(f"need d >= 1, got {self.d}")
         if not 0 <= self.p0 <= self.p1:
             raise InputError(f"need 0 <= p0 <= p1, got p0={self.p0}, p1={self.p1}")
-        theta = np.asarray(self.theta, dtype=float).reshape(-1)
+        theta = np.array(self.theta, dtype=float).reshape(-1)
+        theta.setflags(write=False)
         if theta.size != self.p1 * self.d ** 2:
             raise InputError(
                 f"theta has {theta.size} entries, expected p1*d^2 = {self.p1 * self.d ** 2}"
@@ -119,6 +122,10 @@ class VarModel:
 
     def spectral_radius(self) -> float:
         """Spectral radius of the companion matrix of A_1..A_p0."""
+        return self._radius
+
+    @cached_property
+    def _radius(self) -> float:
         if self.p0 == 0:
             return 0.0
         d, p = self.d, self.p0
@@ -208,7 +215,7 @@ def fit_constrained_ls(
     Raises
     ------
     NumericalError
-        If the regressor matrix is rank deficient.
+        If the regressor matrix is rank deficient or the solver fails.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -231,7 +238,10 @@ def fit_constrained_ls(
     # Design row t is (X_{t-1}', ..., X_{t-p0}') for t = p0..n-1.
     design = np.hstack([xc[p0 - i: n - i] for i in range(1, p0 + 1)])
     target = xc[p0:]
-    b, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    try:
+        b, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"least-squares fit failed: {exc}") from exc
     if rank < d * p0:
         raise NumericalError(
             f"regressor matrix is rank deficient ({rank} < {d * p0})"

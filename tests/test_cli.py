@@ -316,15 +316,31 @@ def test_order_collinear_is_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("p0", ["0", "1"])
-def test_order_overflowing_data_is_numerical_failure(tmp_path, capsys, p0):
-    x = np.random.default_rng(4).standard_normal((60, 2)) * 1e160
-    path = tmp_path / "big.csv"
+def test_order_overflow_scale_data_matches_unscaled(tmp_path, capsys, p0):
+    # squared distances at 1e160 overflow; the coupling does not depend on scale
+    x = np.random.default_rng(4).standard_normal((60, 2))
+    stats = []
+    for name, scale in (("unit.csv", 1.0), ("big.csv", 1e160)):
+        path = tmp_path / name
+        write_series(path, x * scale)
+        code, stdout, _ = run_cli(capsys, "test-order", "--data", str(path),
+                                  "--p0", p0, "--p1", "2", "--score", "vdw",
+                                  "--seed", "1")
+        assert code == 0
+        stats.append(report_of(stdout)["results"]["statistic"])
+    assert stats[1] == stats[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_order_failed_fit_is_numerical_failure(tmp_path, capsys):
+    x = np.random.default_rng(4).standard_normal((60, 2)) * 5e307
+    path = tmp_path / "huge.csv"
     write_series(path, x)
     code, _, stderr = run_cli(capsys, "test-order", "--data", str(path),
-                              "--p0", p0, "--p1", "2", "--score", "vdw",
+                              "--p0", "1", "--p1", "2", "--score", "vdw",
                               "--seed", "1")
     assert code == 3
-    assert "cost overflows" in stderr
+    assert "least-squares fit failed" in stderr
 
 
 # ---------------------------------------------------------------- identify

@@ -124,6 +124,25 @@ def test_statistics_are_shift_and_scale_invariant():
     assert np.isclose(w_x.statistic, w_y.statistic, atol=1e-8)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12, 1e15, 1e100, 1e300])
+def test_white_noise_statistic_is_exactly_scale_invariant(scale):
+    # the coupling, hence every rank statistic, ignores the residual scale
+    x = np.random.default_rng(0).standard_normal((200, 2))
+    grid = make_grid(factorize(200, 2), 2, seed=0)
+    base = rv.test_order(x, 0, 1, ScoreSpec("vdw"), grid).statistic
+    assert rv.test_order(scale * x, 0, 1, ScoreSpec("vdw"), grid).statistic == base
+
+
+def test_order_test_checks_each_model_for_stationarity_once(monkeypatch):
+    # the fit and its d^2 p0 perturbations: one companion eigensolve each
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    x = np.random.default_rng(3).standard_normal((60, 2))
+    rv.test_order(x, 1, 2, ScoreSpec("sign"), make_grid(factorize(60, 2), 2))
+    assert len(calls) == 1 + 4
+
+
 def test_order_p0_zero_coincides_with_specified_zero():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((40, 2))

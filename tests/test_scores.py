@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,15 +12,64 @@ from rankvar import (
     chisq_cdf,
     chisq_quantile,
     chisq_sf,
-    eval_score,
     factorize,
     grid_scores,
     make_grid,
-    mc_score_covariance,
     score_covariance,
 )
+from rankvar._rng import stream
+from rankvar.scores import _radial
 
 SPECS = [ScoreSpec("sign"), ScoreSpec("spearman"), ScoreSpec("vdw")]
+
+
+def eval_score(spec: ScoreSpec, which: int, f_value: np.ndarray, n_R: int) -> np.ndarray:
+    """Oracle: score J_which at one F-value on a grid with n_R radii.
+
+    The origin maps to the zero vector for all three scores.  For the vdW
+    score the norm must sit on a grid radius j/(n_R+1) to within 1e-9.
+    """
+    if which not in (1, 2):
+        raise InputError(f"which must be 1 or 2, got {which}")
+    f = np.asarray(f_value, dtype=float)
+    d = f.shape[0]
+    r = float(np.linalg.norm(f))
+    if r > n_R / (n_R + 1.0) + 1e-9:
+        raise InputError(f"norm {r} exceeds the outermost grid radius")
+    if r < 1e-12:
+        return np.zeros(d)
+    if spec.kind == "sign":
+        return f / r
+    if spec.kind == "spearman":
+        return f.copy()
+    j = round(r * (n_R + 1))
+    if abs(r - j / (n_R + 1.0)) > 1e-9 or not 1 <= j <= n_R:
+        raise InputError(f"norm {r} is not a grid radius for n_R={n_R}")
+    return math.sqrt(chisq_quantile(d, j / (n_R + 1.0))) * (f / r)
+
+
+def mc_score_covariance(
+    spec: ScoreSpec, d: int, n_draws: int = 10**6, seed: int = 0
+) -> np.ndarray:
+    """Oracle: Monte Carlo estimate of C over U_d.
+
+    Uses two independent samples for the inner and outer integrals.
+    """
+    rng = stream(seed, 97, d)
+
+    def sample(m):
+        g = rng.standard_normal((m, d))
+        u = g / np.linalg.norm(g, axis=1, keepdims=True)
+        r = rng.uniform(size=m)
+        return _radial(spec.kind, r, d)[:, None] * u
+
+    j2 = sample(n_draws)
+    b = j2.T @ j2 / n_draws
+    b_mean = j2.mean(0)
+    j1 = sample(n_draws)
+    a = j1.T @ j1 / n_draws
+    a_mean = j1.mean(0)
+    return np.kron(b, a) - np.kron(np.outer(b_mean, b_mean), np.outer(a_mean, a_mean))
 
 
 @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 10.5])

@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import rankvar as rv
 from rankvar import (
     ContaminationSpec,
     InnovationModel,
     InputError,
+    ScoreSpec,
     StudyConfig,
+    VarModel,
     contaminate,
+    factorize,
+    identify_order,
     innovation_preset,
+    make_grid,
     parse_config,
     run_study,
     sample_innovations,
+    simulate_var,
+    transport,
 )
 
 
@@ -433,3 +441,83 @@ def test_run_study_requires_innovations():
 def test_run_study_thread_validation():
     with pytest.raises(InputError):
         run_study(_small_config(threads=0))
+
+
+# ------------------------------------------------------- shared couplings
+
+
+def _sharing_config(task, **over):
+    """A study in which every test takes the same identification steps."""
+    base = dict(
+        theta=np.array([0.5, 0.1, -0.1, 0.4]), n=80, N=4, M=19, task=task,
+        ell=(1.0,) if task == "identify" else (0.0, 1.0), max_order=2,
+    )
+    base.update(over)
+    return _small_config(**base)
+
+
+def _count_solves(monkeypatch):
+    """List that grows by one per linear sum assignment solved in this process."""
+    calls = []
+    solver = transport.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solver(cost)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "task, tests",
+    [("identify", ("vdw", "sign_bc")), ("reject", ("sign", "spearman", "vdw"))],
+)
+def test_shared_couplings_leave_every_cell_unchanged(task, tests, threads):
+    together = run_study(_sharing_config(task, tests=tests, threads=threads))
+    for name in tests:
+        alone = run_study(_sharing_config(task, tests=(name,), threads=threads))
+        assert together.cells[name] == alone.cells[name]
+
+
+def test_identification_solves_each_coupling_once_per_series(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    counts = {}
+    for tests in (("vdw",), ("sign_bc",), ("vdw", "sign_bc")):
+        calls.clear()
+        run_study(_sharing_config("identify", tests=tests))
+        counts[tests] = len(calls)
+    # each series: order 0 vs 1 (one coupling), order 1 vs 2 (1 + d^2 = 5)
+    assert counts[("vdw",)] == counts[("sign_bc",)] == 4 * 6
+    assert counts[("vdw", "sign_bc")] == counts[("vdw",)]
+
+
+def test_rejection_solves_one_coupling_per_series(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    cfg = _sharing_config("reject", tests=("sign", "spearman", "vdw"), M=None)
+    run_study(cfg)
+    assert len(calls) == cfg.N * len(cfg.ell)
+
+
+def test_direct_calls_share_no_coupling(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    model = VarModel.from_matrices([np.array([[0.5, -0.1], [0.1, 0.4]])])
+    eps = np.random.default_rng(8).standard_normal((280, 2))
+    x = simulate_var(model, 80, eps)
+    grid = make_grid(factorize(80, 2), 2)
+    for spec in (ScoreSpec("vdw"), ScoreSpec("sign")):
+        rv.test_order(x, 1, 2, spec, grid)
+    assert len(calls) == 2 * 5
+    calls.clear()
+    steps = [
+        len(identify_order(x, spec, max_order=2, grid=grid).steps)
+        for spec in (ScoreSpec("vdw"), ScoreSpec("vdw"))
+    ]
+    assert steps == [2, 2] and len(calls) == 2 * 6
+
+
+def test_no_sharing_scope_outlives_run_study():
+    assert transport._SHARED.get() is None
+    run_study(_sharing_config("reject", tests=("sign", "vdw"), N=2))
+    assert transport._SHARED.get() is None

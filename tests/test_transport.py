@@ -7,14 +7,13 @@ import pytest
 from rankvar import (
     GridFactorization,
     InputError,
-    NumericalError,
     coupling_cost,
     factorize,
     make_grid,
     permute_coupling,
     solve_coupling,
 )
-from rankvar.transport import _canonicalize_ties
+from rankvar.transport import _SHARED, _canonicalize_ties, _shared_couplings
 
 
 def brute_force_cost(residuals, grid):
@@ -116,11 +115,49 @@ def test_canonical_assignment_ignores_which_origin_copy():
         assert np.array_equal(_canonicalize_ties(shuffled, grid), canonical)
 
 
-def test_overflowing_cost_is_a_numerical_error():
-    x = np.random.default_rng(6).standard_normal((60, 2)) * 1e160
+def test_coupling_at_overflow_scale_matches_unscaled():
+    # squared distances at this scale overflow; the solver's cost does not
+    x = np.random.default_rng(6).standard_normal((60, 2))
     grid = make_grid(factorize(60, 2), 2)
-    with pytest.raises(NumericalError, match="overflows"):
-        solve_coupling(x, grid)
+    big = solve_coupling(x * 1e160, grid)
+    assert np.array_equal(big.assignment, solve_coupling(x, grid).assignment)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12, 1e15, 1e100, 1e300])
+def test_coupling_is_scale_invariant(scale):
+    x = np.random.default_rng(0).standard_normal((200, 2))
+    grid = make_grid(factorize(200, 2), 2, seed=0)
+    scaled = solve_coupling(scale * x, grid)
+    assert np.array_equal(scaled.assignment, solve_coupling(x, grid).assignment)
+
+
+def test_coupling_arrays_are_read_only():
+    x = np.random.default_rng(2).standard_normal((12, 2))
+    grid = make_grid(factorize(12, 2), 2)
+    c = solve_coupling(x, grid)
+    for cc in (c, permute_coupling(c, np.arange(12)[::-1])):
+        for a in (cc.assignment, cc.f_values, cc.ranks, cc.signs):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            cc.assignment[0] = 1
+
+
+def test_shared_scope_returns_the_stored_coupling():
+    x = np.random.default_rng(5).standard_normal((30, 2))
+    grid = make_grid(factorize(30, 2), 2)
+    twin = make_grid(factorize(30, 2), 2)
+    assert solve_coupling(x, grid) is not solve_coupling(x, grid)
+    with _shared_couplings():
+        c = solve_coupling(x, grid)
+        assert solve_coupling(x.copy(), grid) is c
+        assert solve_coupling(x, twin) is not c  # keyed on the grid object
+        assert solve_coupling(x + 1e-9, grid) is not c
+        with pytest.raises(InputError):  # same key bytes, still validated
+            solve_coupling(x.reshape(1, 60), grid)
+    assert _SHARED.get() is None
+    with pytest.raises(RuntimeError), _shared_couplings():
+        raise RuntimeError
+    assert _SHARED.get() is None
 
 
 def test_permute_coupling():

@@ -144,6 +144,21 @@ def test_spectral_radius():
     assert zero.spectral_radius() == 0.0
 
 
+def test_spectral_radius_is_computed_once_per_model(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    theta = np.array([0.5, 0.1, 0.0, 0.4, 0.0, 0.0, 0.0, 0.0])
+    model = VarModel(d=2, p0=1, p1=2, theta=theta)
+    theta[0] = 2.0  # the model keeps its own read-only copy
+    assert not model.theta.flags.writeable and model.theta[0] == 0.5
+    assert model.is_stationary()
+    build_operator_matrices(model, 50)
+    green_matrices(model, 3)
+    simulate_var(model, 5, np.zeros((5, 2)), burn_in=0)
+    assert np.isclose(model.spectral_radius(), 0.5) and len(calls) == 1
+
+
 def test_green_matrices_scalar_examples():
     g = green_matrices(VarModel.from_matrices([np.array([[0.5]])]), 3)
     assert np.allclose(g.ravel(), [1.0, 0.5, 0.25, 0.125])
