@@ -145,9 +145,10 @@ def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
     if not np.isfinite(z).all():
         raise TransportError("non-finite residual entries")
     shared = _SHARED.get()
-    key = (id(grid), z.tobytes())
-    if shared is not None and key in shared:
-        return shared[key]
+    if shared is not None:
+        key = (id(grid), z.tobytes())
+        if key in shared:
+            return shared[key]
     top = np.abs(z).max()
     if not 0.5 <= top <= 2.0**500:
         z = np.ldexp(z, -np.frexp(top)[1])  # max |z| into [1/2, 1); 0 stays 0
