@@ -21,7 +21,7 @@ import numpy as np
 from ._errors import InputError, NumericalError
 from ._rng import derive_seed, fresh_seed
 from .gaussian_tests import gaussian_test_order, gaussian_test_specified
-from .grid import BallGrid, GridFactorization, factorize, make_grid, make_sphere_grid
+from .grid import BallGrid, _reconstruct_grid, factorize, make_grid, make_sphere_grid
 from .order_id import IdentificationError, identify_order
 from .rank_tests import test_order, test_specified
 from .scores import ScoreSpec
@@ -35,7 +35,7 @@ from .simulation import (
     sample_innovations,
 )
 from .transport import solve_coupling
-from .var_algebra import VarModel, fit_constrained_ls, simulate_var, vec
+from .var_algebra import VarModel, fit_constrained_ls, simulate_var
 
 __all__ = ["ingest_csv", "main"]
 
@@ -123,10 +123,9 @@ def _load_theta0(path: str, p1: int | None) -> VarModel:
         p1 = p
     if p1 < p:
         raise InputError(f"--p1 {p1} is below the null order p={p}")
-    theta = np.concatenate(
-        [vec(a) for a in mats] + [np.zeros((p1 - p) * d * d)]
-    ) if p else np.zeros(p1 * d * d)
-    return VarModel(d=d, p0=p, p1=p1, theta=theta)
+    if p == 0:
+        return VarModel(d=d, p0=0, p1=p1, theta=np.zeros(p1 * d * d))
+    return VarModel.from_matrices(mats, p1=p1)
 
 
 def _grid_for(args, n: int, d: int, seed: int) -> BallGrid:
@@ -212,50 +211,6 @@ def cmd_grid(args) -> int:
         },
     )
     return 0
-
-
-def _reconstruct_grid(points: np.ndarray) -> BallGrid:
-    """Rebuild a BallGrid from raw gridpoints (as emitted by `grid`).
-
-    Points are grouped into radius levels by their norms (1e-9 tolerance);
-    the levels must be the equispaced j/(n_R+1) family with a constant
-    direction count.
-    """
-    n, d = points.shape
-    norms = np.linalg.norm(points, axis=1)
-    origin = norms <= 1e-9
-    n_0 = int(np.sum(origin))
-    nz = np.sort(np.unique(np.round(norms[~origin], 9)))
-    n_R = nz.size
-    if n_R == 0:
-        raise InputError("grid file contains only origin points")
-    expected = np.arange(1, n_R + 1) / (n_R + 1)
-    if np.max(np.abs(nz - expected)) > 1e-9:
-        raise InputError("grid radii are not the equispaced j/(n_R+1) family")
-    if (n - n_0) % n_R != 0:
-        raise InputError("grid points do not split evenly across radius levels")
-    n_S = (n - n_0) // n_R
-    fact = GridFactorization(n, n_R, n_S, n_0)
-    ranks = np.zeros(n, dtype=int)
-    signs = np.zeros((n, d))
-    live = ~origin
-    ranks[live] = np.searchsorted(nz, np.round(norms[live], 9)) + 1
-    signs[live] = points[live] / norms[live, None]
-    per_level = np.bincount(ranks[live], minlength=n_R + 1)[1:]
-    if np.any(per_level != n_S):
-        raise InputError("grid radius levels carry unequal direction counts")
-    nonzero = points[live]
-    key = np.lexsort(nonzero.T)
-    key_neg = np.lexsort((-nonzero).T)
-    symmetric = bool(np.array_equal(nonzero[key], -nonzero[key_neg]))
-    return BallGrid(
-        points=points,
-        factorization=fact,
-        d=d,
-        symmetric=symmetric,
-        point_ranks=ranks,
-        point_signs=signs,
-    )
 
 
 def cmd_ranks(args) -> int:

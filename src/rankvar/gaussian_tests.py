@@ -68,10 +68,11 @@ def _lag1_moment(z: np.ndarray) -> np.ndarray:
     return vecs.T @ vecs / (n - 1)
 
 
-def gaussian_test_specified(
-    x, theta0: VarModel, p1: int | None = None, alpha: float = 0.05
-) -> TestOutcome:
+def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOutcome:
     """Gaussian test of the simple null theta = theta0 within a VAR(p1).
+
+    The alternative order p1 is ``theta0.p1``: theta0 carries its trailing
+    zero blocks.
 
     For theta0 = 0 this is the white-noise statistic normalized by the
     empirical lag-1 moment matrix.  Otherwise residuals at theta0 are
@@ -86,16 +87,6 @@ def gaussian_test_specified(
         raise InputError(f"theta0 has d={theta0.d}, series has d={d}")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"need 0 < alpha < 1, got {alpha}")
-    if p1 is not None and p1 != theta0.p1:
-        if p1 < theta0.p0:
-            raise InputError(f"p1={p1} below the null order {theta0.p0}")
-        head = theta0.theta[: theta0.p0 * d * d]
-        theta0 = VarModel(
-            d=d,
-            p0=theta0.p0,
-            p1=p1,
-            theta=np.concatenate([head, np.zeros((p1 - theta0.p0) * d * d)]),
-        )
     if n <= theta0.p1 + 1:
         raise InputError(f"series too short for p1={theta0.p1}")
     df = d * d * theta0.p1

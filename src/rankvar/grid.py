@@ -179,3 +179,47 @@ def make_sphere_grid(n: int, d: int, seed: int | None = None) -> BallGrid:
     if n < 2:
         raise GridError(f"need n >= 2, got {n}")
     return make_grid(GridFactorization(n, 1, n, 0), d, seed)
+
+
+def _reconstruct_grid(points: np.ndarray) -> BallGrid:
+    """Rebuild a BallGrid from its points alone (as the CLI's `grid` writes them).
+
+    Points are grouped into radius levels by their norms (1e-9 tolerance);
+    the levels must be the equispaced j/(n_R+1) family with a constant
+    direction count.
+    """
+    n, d = points.shape
+    norms = np.linalg.norm(points, axis=1)
+    origin = norms <= 1e-9
+    n_0 = int(np.sum(origin))
+    nz = np.sort(np.unique(np.round(norms[~origin], 9)))
+    n_R = nz.size
+    if n_R == 0:
+        raise GridError("grid points are all at the origin")
+    expected = np.arange(1, n_R + 1) / (n_R + 1)
+    if np.max(np.abs(nz - expected)) > 1e-9:
+        raise GridError("grid radii are not the equispaced j/(n_R+1) family")
+    if (n - n_0) % n_R != 0:
+        raise GridError("grid points do not split evenly across radius levels")
+    n_S = (n - n_0) // n_R
+    fact = GridFactorization(n, n_R, n_S, n_0)
+    ranks = np.zeros(n, dtype=int)
+    signs = np.zeros((n, d))
+    live = ~origin
+    ranks[live] = np.searchsorted(nz, np.round(norms[live], 9)) + 1
+    signs[live] = points[live] / norms[live, None]
+    per_level = np.bincount(ranks[live], minlength=n_R + 1)[1:]
+    if np.any(per_level != n_S):
+        raise GridError("grid radius levels carry unequal direction counts")
+    nonzero = points[live]
+    key = np.lexsort(nonzero.T)
+    key_neg = np.lexsort((-nonzero).T)
+    symmetric = bool(np.array_equal(nonzero[key], -nonzero[key_neg]))
+    return BallGrid(
+        points=points,
+        factorization=fact,
+        d=d,
+        symmetric=symmetric,
+        point_ranks=ranks,
+        point_signs=signs,
+    )

@@ -436,77 +436,48 @@ def test_specified(
     )
 
 
-def estimate_upsilon(
-    x,
-    theta_hat: VarModel,
-    spec: ScoreSpec,
-    grid: BallGrid,
-    columns=None,
-    step: float | None = None,
-    base_delta: np.ndarray | None = None,
-) -> np.ndarray:
+def estimate_upsilon(x, theta_hat: VarModel, spec: ScoreSpec, grid: BallGrid) -> np.ndarray:
     """Finite-difference estimate of the d^2 p1 x d^2 p0 cross-information.
 
     Column i is -(Delta(theta_hat + h e_i) - Delta(theta_hat)) / (h n^{1/2})
-    with base step h = n^{-1/2}, i.e. the local-perturbation slope of the
+    with step h = n^{-1/2}, i.e. the local-perturbation slope of the
     central sequence in the direction of the i-th coordinate of the free
-    parameter blocks.  If a perturbed model leaves the stationarity region
-    the step is halved, up to ten times.
-
-    Parameters
-    ----------
-    columns : iterable of int, optional
-        1-based column indices to fill; all p0 d^2 by default.  Unrequested
-        columns are returned as zero.
-    step : float, optional
-        Base perturbation size (default n^{-1/2}).  A zero step yields zero
-        columns.
-    base_delta : array, optional
-        Precomputed Delta(theta_hat), to avoid one evaluation.
+    parameter blocks; every one of the p0 d^2 columns is filled.  If a
+    perturbed model leaves the stationarity region the step is halved, up
+    to ten times.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    d, p0, p1 = theta_hat.d, theta_hat.p0, theta_hat.p1
-    if p0 < 1:
+    if theta_hat.p0 < 1:
         raise InputError("Upsilon estimation needs p0 >= 1")
-    k = p0 * d * d
-    if columns is None:
-        columns = range(1, k + 1)
-    columns = list(columns)
-    if any(not 1 <= c <= k for c in columns):
-        raise InputError(f"columns must lie in 1..{k}")
-    h0 = n ** -0.5 if step is None else float(step)
-    if h0 == 0.0:
-        return np.zeros((p1 * d * d, k))
     table, m_vec = _scores_and_centering(spec, grid)
-    if base_delta is None:
-        base_delta = _delta_at(theta_hat, x, table, grid, m_vec)[2]
-    return _upsilon(x, theta_hat, table, grid, m_vec, base_delta, columns, h0)
+    base_delta = _delta_at(theta_hat, x, table, grid, m_vec)[2]
+    return _upsilon(x, theta_hat, table, grid, m_vec, base_delta)
 
 
-def _upsilon(x, theta_hat: VarModel, table, grid, m_vec, base_delta, columns, h0):
+def _upsilon(x, theta_hat: VarModel, table, grid, m_vec, base_delta):
     """The finite-difference loop of :func:`estimate_upsilon` on validated inputs.
 
-    ``table`` and ``m_vec`` are the caller's gridpoint scores and null mean.
+    ``table`` and ``m_vec`` are the caller's gridpoint scores and null mean,
+    ``base_delta`` is Delta(theta_hat).
     """
     n = x.shape[0]
     d, p0, p1 = theta_hat.d, theta_hat.p0, theta_hat.p1
-    ups = np.zeros((p1 * d * d, p0 * d * d))
-    for col in columns:
-        h = h0
+    ups = np.empty((p1 * d * d, p0 * d * d))
+    for col in range(p0 * d * d):
+        h = n ** -0.5
         for _ in range(11):
             theta_p = theta_hat.theta.copy()
-            theta_p[col - 1] += h
+            theta_p[col] += h
             model_p = VarModel(d=d, p0=p0, p1=p1, theta=theta_p)
             if model_p.is_stationary():
                 break
             h /= 2.0
         else:
             raise NumericalError(
-                f"perturbation of coordinate {col} cannot stay stationary"
+                f"perturbation of coordinate {col + 1} cannot stay stationary"
             )
         delta_p = _delta_at(model_p, x, table, grid, m_vec)[2]
-        ups[:, col - 1] = -(delta_p - base_delta) / (h * math.sqrt(n))
+        ups[:, col] = -(delta_p - base_delta) / (h * math.sqrt(n))
     return ups
 
 
@@ -551,7 +522,7 @@ def test_order(
     d2 = d * d
     k = d2 * p0
 
-    ups = _upsilon(x, theta_hat, table, grid, m_vec, delta, range(1, k + 1), n ** -0.5)
+    ups = _upsilon(x, theta_hat, table, grid, m_vec, delta)
     # Upsilon_11 is only symmetric in the limit; invert it as-is, with the
     # trace ridge, solving from the right for B = Upsilon_21 Upsilon_11^{-1}.
     u11 = ups[:k] + 1e-10 * abs(np.trace(ups[:k])) * np.eye(k)

@@ -13,7 +13,6 @@ once per series and shared by the tests; nothing is shared across series.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -231,12 +230,11 @@ class ContaminationSpec:
 
     floor(n * fraction) observations, starting at index floor(1/(2 fraction))
     with spacing floor(1/fraction), are shifted by the vector ``size``; the
-    whole series is demeaned afterward unless ``demean_after`` is off.
+    whole series is demeaned afterward.
     """
 
     fraction: float
     size: np.ndarray = field(repr=False)
-    demean_after: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.fraction < 0.5:
@@ -258,7 +256,7 @@ class ContaminationSpec:
 
 
 def contaminate(x: np.ndarray, spec: ContaminationSpec) -> np.ndarray:
-    """Apply additive outliers; demean the result if ``spec.demean_after``."""
+    """Apply additive outliers, then demean the result."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InputError(f"series must be 2-d, got shape {x.shape}")
@@ -268,8 +266,7 @@ def contaminate(x: np.ndarray, spec: ContaminationSpec) -> np.ndarray:
         )
     out = x.copy()
     out[spec.positions(x.shape[0])] += spec.size
-    if spec.demean_after:
-        out -= out.mean(axis=0)
+    out -= out.mean(axis=0)
     return out
 
 
@@ -649,19 +646,16 @@ def _binomial_se(k: int, m: int) -> float:
 def run_study(config: StudyConfig) -> StudyReport:
     """Run the full Monte Carlo study described by the config.
 
-    Replications are split across processes when ``threads`` (or the
-    RANKVAR_THREADS environment variable) exceeds one; results are
-    identical for any worker count because each replication derives its
-    randomness from (seed, replication index) alone.  The tests of one
-    simulated series share its optimal couplings (see the module
-    docstring), which changes no result.
+    Replications are split across processes when ``threads`` exceeds one
+    (None means one); results are identical for any worker count because
+    each replication derives its randomness from (seed, replication index)
+    alone.  The tests of one simulated series share its optimal couplings
+    (see the module docstring), which changes no result.
     """
     if config.innovations is None:
         raise InputError("config has no innovation model")
     grids = _study_grids(config)
-    threads = config.threads
-    if threads is None:
-        threads = int(os.environ.get("RANKVAR_THREADS", "1"))
+    threads = 1 if config.threads is None else config.threads
     if threads < 1:
         raise InputError(f"need threads >= 1, got {threads}")
 

@@ -30,6 +30,7 @@ from scipy.optimize import linear_sum_assignment
 
 from ._errors import InputError
 from .grid import BallGrid
+from .var_algebra import _pow2_scaled
 
 __all__ = ["Coupling", "solve_coupling", "coupling_cost", "permute_coupling"]
 
@@ -149,9 +150,7 @@ def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
         key = (id(grid), z.tobytes())
         if key in shared:
             return shared[key]
-    top = np.abs(z).max()
-    if not 0.5 <= top <= 2.0**500:
-        z = np.ldexp(z, -np.frexp(top)[1])  # max |z| into [1/2, 1); 0 stays 0
+    z = _pow2_scaled(z)
     g = grid.points
     rows, cols = linear_sum_assignment((g * g).sum(1)[None, :] - 2.0 * (z @ g.T))
     assignment = np.empty(n, dtype=int)

@@ -179,6 +179,20 @@ def simulate_var(
     return x[burn_in:]
 
 
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """x brought to max |x| in [1/2, 1) by an exact power of two, if max |x|
+    lies outside [1/2, 2^500]; otherwise x itself.  Zero stays zero.
+
+    A power-of-two scaling changes no significand.  The optimal coupling
+    and the least-squares fit apply it first, which makes them independent
+    of the scale of their input and keeps their sums from overflowing.
+    """
+    top = np.abs(x).max()
+    if 0.5 <= top <= 2.0**500:
+        return x
+    return np.ldexp(x, -np.frexp(top)[1])
+
+
 def residuals(x: np.ndarray, model: VarModel) -> np.ndarray:
     """Residuals Z_t = X_t - sum_{i=1}^{p0} A_i X_{t-i}, zero initial values.
 
@@ -199,7 +213,6 @@ def fit_constrained_ls(
     x: np.ndarray,
     p0: int,
     p1: int | None = None,
-    discretize: bool = True,
 ) -> VarModel:
     """Constrained least-squares fit of a VAR(p0) inside a VAR(p1) frame.
 
@@ -208,9 +221,12 @@ def fit_constrained_ls(
     zero blocks up to p1.  For p0 = 0 there is nothing to fit and the zero
     model is returned.
 
-    The root-n-consistent estimate is optionally rounded to a lattice of
-    pitch n^{-1/2}/100, fine enough to be numerically inert while making the
-    estimator take finitely many values on bounded sets.
+    The root-n-consistent estimate is rounded to a lattice of pitch
+    n^{-1/2}/100, fine enough to be numerically inert while making the
+    estimator take finitely many values on bounded sets.  The series is
+    first brought to a standard scale by an exact power of two (see
+    :func:`_pow2_scaled`), so the fit is the same at every scale and the
+    demeaning cannot overflow.
 
     Raises
     ------
@@ -234,6 +250,7 @@ def fit_constrained_ls(
     if p0 == 0:
         return VarModel(d=d, p0=0, p1=p1, theta=np.zeros(p1 * d * d))
 
+    x = _pow2_scaled(x)
     xc = x - x.mean(axis=0)
     # Design row t is (X_{t-1}', ..., X_{t-p0}') for t = p0..n-1.
     design = np.hstack([xc[p0 - i: n - i] for i in range(1, p0 + 1)])
@@ -250,9 +267,8 @@ def fit_constrained_ls(
         [vec(b[(i - 1) * d: i * d].T) for i in range(1, p0 + 1)]
         + [np.zeros((p1 - p0) * d * d)]
     )
-    if discretize:
-        pitch = n ** -0.5 / 100.0
-        theta = np.round(theta / pitch) * pitch
+    pitch = n ** -0.5 / 100.0
+    theta = np.round(theta / pitch) * pitch
     return VarModel(d=d, p0=p0, p1=p1, theta=theta)
 
 
@@ -314,16 +330,6 @@ class OperatorMatrices:
     T: np.ndarray = field(repr=False)
     greens: np.ndarray = field(repr=False)
     effective_lags: int = 0
-
-    def t_block(self, i: int) -> np.ndarray:
-        """T_i, the d^2 p1 x d^2 block of T at lag i (1-based)."""
-        d2 = self.greens.shape[1] ** 2
-        return self.T[:, (i - 1) * d2: i * d2]
-
-    def q_block(self, i: int) -> np.ndarray:
-        """Q_i, the d^2 x d^2 p1 block row of Q at lag i (1-based)."""
-        d2 = self.greens.shape[1] ** 2
-        return self.Q[(i - 1) * d2: i * d2]
 
 
 def _d_coefficients(greens: np.ndarray, p0: int) -> list[np.ndarray]:

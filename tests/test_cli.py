@@ -239,6 +239,19 @@ def test_spec_gaussian_and_sphere(white_csv, tmp_path, capsys):
     assert rep["seed"] is None
     assert rep["results"]["df"] == 4
 
+    # --p1 pads theta0 with zero blocks
+    a1 = np.array([[0.2, 0.1], [0.0, 0.3]])
+    t1 = write_theta0(tmp_path, 2, [a1], name="theta1.json")
+    code, stdout, _ = run_cli(capsys, "test-spec", "--data", white_csv,
+                              "--theta0", t1, "--p1", "3", "--score", "gaussian")
+    assert code == 0
+    res = report_of(stdout)["results"]
+    direct = rv.gaussian_test_specified(
+        ingest_csv(white_csv), rv.VarModel.from_matrices([a1], p1=3)
+    )
+    assert res["df"] == 12
+    assert res["statistic"] == direct.statistic
+
     code, _, stderr = run_cli(capsys, "test-spec", "--data", white_csv,
                               "--theta0", t0, "--score", "gaussian", "--perm", "50")
     assert code == 2
@@ -317,10 +330,11 @@ def test_order_collinear_is_numerical_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("p0", ["0", "1"])
 def test_order_overflow_scale_data_matches_unscaled(tmp_path, capsys, p0):
-    # squared distances at 1e160 overflow; the coupling does not depend on scale
+    # squared distances at 1e160 overflow, and at 5e307 so does the fit's
+    # column mean; neither the coupling nor the fit depends on scale
     x = np.random.default_rng(4).standard_normal((60, 2))
     stats = []
-    for name, scale in (("unit.csv", 1.0), ("big.csv", 1e160)):
+    for name, scale in (("unit.csv", 1.0), ("big.csv", 1e160), ("huge.csv", 5e307)):
         path = tmp_path / name
         write_series(path, x * scale)
         code, stdout, _ = run_cli(capsys, "test-order", "--data", str(path),
@@ -329,13 +343,16 @@ def test_order_overflow_scale_data_matches_unscaled(tmp_path, capsys, p0):
         assert code == 0
         stats.append(report_of(stdout)["results"]["statistic"])
     assert stats[1] == stats[0]
+    assert stats[2] == stats[0]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_order_failed_fit_is_numerical_failure(tmp_path, capsys):
-    x = np.random.default_rng(4).standard_normal((60, 2)) * 5e307
-    path = tmp_path / "huge.csv"
-    write_series(path, x)
+def test_order_failed_fit_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    path = tmp_path / "x.csv"
+    write_series(path, np.random.default_rng(4).standard_normal((60, 2)))
     code, _, stderr = run_cli(capsys, "test-order", "--data", str(path),
                               "--p0", "1", "--p1", "2", "--score", "vdw",
                               "--seed", "1")

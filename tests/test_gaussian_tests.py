@@ -81,12 +81,10 @@ def test_order_test_null_size():
 
 def test_p1_reframing():
     x = np.random.default_rng(6).standard_normal((100, 2))
-    model = VarModel.from_matrices([np.array([[0.2, 0.0], [0.0, 0.2]])])
-    out = gaussian_test_specified(x, model, p1=3)
+    model = VarModel.from_matrices([np.array([[0.2, 0.0], [0.0, 0.2]])], p1=3)
+    out = gaussian_test_specified(x, model)
     assert out.df == 12
     assert out.meta["p1"] == 3
-    with pytest.raises(InputError):
-        gaussian_test_specified(x, model, p1=0)
 
 
 def test_singular_covariance_rejected():
@@ -110,7 +108,7 @@ def test_validation():
     with pytest.raises(InputError):
         gaussian_test_order(x, 2, 2)
     with pytest.raises(InputError):
-        gaussian_test_specified(x[:2], ZERO2, p1=3)
+        gaussian_test_specified(x[:2], VarModel(d=2, p0=0, p1=3, theta=np.zeros(12)))
     theta3 = VarModel(d=3, p0=0, p1=1, theta=np.zeros(9))
     with pytest.raises(InputError):
         gaussian_test_specified(x, theta3)

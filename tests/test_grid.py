@@ -8,6 +8,7 @@ from rankvar import (
     make_grid,
     make_sphere_grid,
 )
+from rankvar.grid import _reconstruct_grid
 
 
 def test_factorization_validates():
@@ -120,3 +121,23 @@ def test_sphere_grid():
     assert g.symmetric
     with pytest.raises(InputError):
         make_sphere_grid(1, 2)
+
+
+@pytest.mark.parametrize(
+    "n,d,sphere",
+    [
+        (101, 1, False),  # n_0 = 1
+        (103, 2, False),  # n_0 = 3
+        (1400, 3, False),  # n_0 = 3, not antipodal
+        (50, 3, True),
+    ],
+)
+def test_reconstruct_grid_round_trip(n, d, sphere):
+    grid = make_sphere_grid(n, d, seed=2) if sphere else make_grid(factorize(n, d), d, seed=5)
+    rebuilt = _reconstruct_grid(grid.points)
+    assert np.array_equal(rebuilt.points, grid.points)
+    assert rebuilt.factorization == grid.factorization
+    assert np.array_equal(rebuilt.point_ranks, grid.point_ranks)
+    # signs are renormalized points: equal up to rounding
+    assert np.allclose(rebuilt.point_signs, grid.point_signs, rtol=0, atol=1e-15)
+    assert rebuilt.symmetric == grid.symmetric

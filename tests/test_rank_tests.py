@@ -178,7 +178,7 @@ def test_asymptotic_vs_permutational_fields():
     assert again.p_permutational == perm.p_permutational
 
 
-def test_upsilon_options():
+def test_upsilon_fills_every_column():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((60, 2))
     grid = make_grid(factorize(60, 2), 2)
@@ -186,16 +186,10 @@ def test_upsilon_options():
 
     theta_hat = fit_constrained_ls(x, 1, p1=2)
     spec = ScoreSpec("spearman")
-    zero = estimate_upsilon(x, theta_hat, spec, grid, step=0.0)
-    assert zero.shape == (8, 4)
-    assert np.all(zero == 0.0)
+    ups = estimate_upsilon(x, theta_hat, spec, grid)
+    assert ups.shape == (8, 4)
+    assert np.all(np.any(ups != 0.0, axis=0))
 
-    partial = estimate_upsilon(x, theta_hat, spec, grid, columns=[2])
-    assert np.any(partial[:, 1] != 0.0)
-    assert np.all(partial[:, [0, 2, 3]] == 0.0)
-
-    with pytest.raises(InputError):
-        estimate_upsilon(x, theta_hat, spec, grid, columns=[5])
     zero_model = VarModel(d=2, p0=0, p1=1, theta=np.zeros(4))
     with pytest.raises(InputError):
         estimate_upsilon(x, zero_model, spec, grid)

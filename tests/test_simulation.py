@@ -179,15 +179,17 @@ def test_contaminate_zero_size_is_pure_demeaning():
     assert np.allclose(out, x - x.mean(axis=0))
 
 
-def test_contaminate_exact_spikes_without_demeaning():
+def test_contaminate_exact_spikes_net_of_mean_shift():
     x = np.random.default_rng(1).standard_normal((100, 2))
-    spec = ContaminationSpec(fraction=0.05, size=(9.0, -4.0), demean_after=False)
+    size = np.array([9.0, -4.0])
+    spec = ContaminationSpec(fraction=0.05, size=size)
     out = contaminate(x, spec)
     pos = spec.positions(100)
-    assert np.allclose(out[pos], x[pos] + np.array([9.0, -4.0]))
+    shift = x.mean(axis=0) + pos.size * size / 100
+    assert np.allclose(out[pos], x[pos] + size - shift)
     mask = np.ones(100, dtype=bool)
     mask[pos] = False
-    assert np.array_equal(out[mask], x[mask])
+    assert np.allclose(out[mask], x[mask] - shift)
 
 
 def test_contaminate_validation():

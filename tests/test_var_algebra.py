@@ -206,8 +206,7 @@ def test_operator_matrices_structure():
             assert np.allclose(block, want)
     assert np.array_equal(ops.P, np.eye(d2 * 3))
     assert np.allclose(ops.T, ops.M.T @ ops.P.T @ ops.Q.T)
-    assert np.allclose(ops.q_block(1), np.eye(d2 * 3)[:d2])
-    assert np.allclose(ops.t_block(2), ops.T[:, d2: 2 * d2])
+    assert np.allclose(ops.Q[:d2], np.eye(d2 * 3)[:d2])
 
 
 def test_identity_window_q_column_scalar():
@@ -318,8 +317,10 @@ def test_fit_recovers_coefficients():
     pitch = 4000 ** -0.5 / 100.0
     ratio = fit.theta / pitch
     assert np.allclose(ratio, np.round(ratio), atol=1e-8)
-    raw = fit_constrained_ls(x, 1, p1=2, discretize=False)
-    assert np.max(np.abs(raw.theta - fit.theta)) <= pitch
+    # ... next to the plain least-squares estimate
+    xc = x - x.mean(axis=0)
+    b = np.linalg.lstsq(xc[:-1], xc[1:], rcond=None)[0]
+    assert np.max(np.abs(b.T.reshape(-1, order="F") - fit.theta[:4])) <= pitch
 
 
 def test_fit_edge_cases():
@@ -333,3 +334,15 @@ def test_fit_edge_cases():
     const = np.ones((100, 2))
     with pytest.raises(NumericalError):
         fit_constrained_ls(const, 1)  # demeaned design is all zeros
+
+
+@pytest.mark.parametrize("d,p0", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_fit_is_bitwise_equal_across_power_of_two_scalings(d, p0):
+    x = np.random.default_rng(10 * d + p0).standard_normal((120, d))
+    fit = fit_constrained_ls(x, p0, p1=p0 + 1)
+    # the last scaling puts max |x| in [2^1022, 2^1023), where a plain
+    # column mean overflows
+    top = np.frexp(np.abs(x).max())[1]
+    for k in (-900, -3, 7, 400, 1023 - top):
+        scaled = fit_constrained_ls(np.ldexp(x, k), p0, p1=p0 + 1)
+        assert scaled.theta.tobytes() == fit.theta.tobytes(), k
