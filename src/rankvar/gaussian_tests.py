@@ -28,6 +28,7 @@ from ._errors import InputError, NumericalError
 from .rank_tests import TestOutcome, _block_gram, _meta, _outcome, _solve_spd
 from .var_algebra import (
     VarModel,
+    _pow2_normalized,
     build_operator_matrices,
     fit_constrained_ls,
     residuals,
@@ -37,12 +38,15 @@ __all__ = ["gaussian_test_specified", "gaussian_test_order"]
 
 
 def _validate_series(x) -> np.ndarray:
+    """The series as floats, brought to max |x| in [1/2, 1) by an exact power
+    of two: the statistics are scale invariant, and at that scale the fourth
+    moments in L and Lambda neither overflow nor underflow."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InputError(f"series must be 2-d, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("series contains non-finite entries")
-    return x
+    return _pow2_normalized(x)
 
 
 def _center(z: np.ndarray) -> np.ndarray:

@@ -352,7 +352,7 @@ def _outcome(
     The observed statistic is the identity permutation's value; with ``M``
     (or ``exhaustive``) the same kernel evaluates the permuted assignments
     and the test is calibrated on them, otherwise on the chi-square(df)
-    limit.
+    limit.  A non-finite statistic raises :class:`NumericalError`.
     """
     def forms(perms):
         h = _lag_stacks(s, m_vec, L, perms) @ a.T
@@ -360,6 +360,8 @@ def _outcome(
 
     n = s.shape[0]
     statistic = float(forms(np.arange(n)[None, :])[0])
+    if not np.isfinite(statistic):
+        raise NumericalError(f"non-finite statistic {statistic}")
     p_asym = float(chisq_sf(statistic, df))
     if M is None:
         p_perm, cv = None, float(chisq_quantile(df, 1.0 - alpha))

@@ -179,18 +179,29 @@ def simulate_var(
     return x[burn_in:]
 
 
-def _pow2_scaled(x: np.ndarray) -> np.ndarray:
-    """x brought to max |x| in [1/2, 1) by an exact power of two, if max |x|
-    lies outside [1/2, 2^500]; otherwise x itself.  Zero stays zero.
+def _pow2_normalized(x: np.ndarray) -> np.ndarray:
+    """x brought to max |x| in [1/2, 1) by an exact power of two.  Zero
+    stays zero.
 
-    A power-of-two scaling changes no significand.  The optimal coupling
-    and the least-squares fit apply it first, which makes them independent
-    of the scale of their input and keeps their sums from overflowing.
+    A power-of-two scaling changes no significand, so a scale-invariant
+    statistic computed after it is the same, bit for bit, while its sums and
+    fourth moments stay far from overflow and underflow.
+    """
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """x brought to max |x| in [1/2, 1) by :func:`_pow2_normalized` if max
+    |x| lies outside [1/2, 2^500]; otherwise x itself.
+
+    The optimal coupling and the least-squares fit apply it first, which
+    makes them independent of the scale of their input and keeps their sums
+    from overflowing.
     """
     top = np.abs(x).max()
     if 0.5 <= top <= 2.0**500:
         return x
-    return np.ldexp(x, -np.frexp(top)[1])
+    return _pow2_normalized(x)
 
 
 def residuals(x: np.ndarray, model: VarModel) -> np.ndarray:

@@ -112,3 +112,24 @@ def test_validation():
     theta3 = VarModel(d=3, p0=0, p1=1, theta=np.zeros(9))
     with pytest.raises(InputError):
         gaussian_test_specified(x, theta3)
+
+
+@pytest.mark.parametrize("p0", [0, 1])
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e-100, 1e200])
+def test_statistic_holds_at_extreme_scale(p0, scale):
+    # the raw fourth moments overflow or underflow here; the statistic does not
+    x = np.random.default_rng(4).standard_normal((200, 2))
+    base = gaussian_test_order(x, p0, p0 + 1).statistic
+    assert base == {0: 9.298875443084142, 1: 5.099544220513773}[p0]
+    got = gaussian_test_order(scale * x, p0, p0 + 1).statistic
+    assert got == pytest.approx(base, rel=1e-14)
+
+
+def test_power_of_two_scaling_is_bitwise_neutral():
+    rng = np.random.default_rng(12)
+    model = VarModel.from_matrices([np.array([[0.3, 0.12], [-0.06, 0.24]])])
+    x = simulate_var(model, 150, rng.standard_normal((350, 2)))
+    for p0 in (0, 1, 2):
+        base = gaussian_test_order(x, p0, p0 + 1).statistic
+        for k in (-900, -60, 3, 700):
+            assert gaussian_test_order(np.ldexp(x, k), p0, p0 + 1).statistic == base

@@ -259,3 +259,13 @@ def test_outcome_consistency_enforced():
     assert d["reject"] is False
     assert d["p_permutational"] is None
     assert d["meta"] == {"score": "sign"}
+
+
+@pytest.mark.parametrize("M", [None, 19])
+def test_non_finite_statistic_is_a_numerical_error(M):
+    # a NaN score row used to give reject = (nan > cv) = False, silently
+    s = np.random.default_rng(3).standard_normal((30, 2))
+    s[7] = np.nan
+    eye = np.eye(4)
+    with pytest.raises(rv.NumericalError, match="non-finite statistic"):
+        rv.rank_tests._outcome(s, 0.0, 1, eye, eye, 4, 0.05, {}, M=M, seed=1)

@@ -3,17 +3,30 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from rankvar import (
     GridFactorization,
     InputError,
+    VarModel,
     coupling_cost,
     factorize,
+    innovation_preset,
     make_grid,
     permute_coupling,
+    sample_innovations,
+    simulate_var,
     solve_coupling,
 )
-from rankvar.transport import _SHARED, _canonicalize_ties, _shared_couplings
+from rankvar.transport import (
+    _SHARED,
+    _canonicalize_ties,
+    _shared_couplings,
+    _sort_tied_residuals,
+)
+from rankvar.var_algebra import _pow2_scaled
 
 
 def brute_force_cost(residuals, grid):
@@ -196,3 +209,152 @@ def test_shape_mismatch_rejected():
         solve_coupling(np.zeros((6, 3)), grid)  # d mismatch
     with pytest.raises(InputError):
         solve_coupling(np.array([[np.nan, 0.0]] * 6), grid)
+
+
+def cold_cost(residuals, grid):
+    """The full n x n cost the solver minimizes, with no warm start."""
+    z = _pow2_scaled(np.asarray(residuals, dtype=float))
+    g = grid.points
+    return (g * g).sum(1)[None, :] - 2.0 * (z @ g.T)
+
+
+def cold_assignment(residuals, grid):
+    """Oracle: the canonicalized assignment of a cold solve of the full cost."""
+    rows, cols = linear_sum_assignment(cold_cost(residuals, grid))
+    a = np.empty(grid.n, dtype=int)
+    a[rows] = cols
+    return _canonicalize_ties(_sort_tied_residuals(a, residuals, grid), grid)
+
+
+def with_duplicate_points(grid, rng, k=3):
+    """The grid with k gridpoints overwritten by copies of k others."""
+    pts = grid.points.copy()
+    src, dst = rng.choice(grid.n, size=(2, min(k, grid.n // 2)), replace=False)
+    pts[dst] = pts[src]
+    return dataclasses.replace(grid, points=pts)
+
+
+def assert_equal_cost(residuals, grid, assignment):
+    """The assignment is optimal: its cost equals the cold solve's, within
+    2e-14 of the largest cost entry."""
+    cost = cold_cost(residuals, grid)
+    t = np.arange(grid.n)
+    gap = cost[t, assignment].sum() - cost[t, cold_assignment(residuals, grid)].sum()
+    assert abs(gap) <= 2e-14 * np.abs(cost).max()
+
+
+@settings(max_examples=150)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(4, 600),
+    preset=st.sampled_from(["normal", "t3", "mixture", "skewt3"]),
+    log_scale=st.floats(-12, 300),
+    duplicates=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_warm_start_matches_cold_oracle(d, n, preset, log_scale, duplicates, seed):
+    if d == 1 and preset in ("mixture", "skewt3"):
+        preset = "normal"  # both are defined for d = 2 and 3 only
+    rng = np.random.default_rng(seed)
+    z = sample_innovations(innovation_preset(preset, d), n, d, seed) * 10.0**log_scale
+    grid = make_grid(factorize(n, d), d, seed=seed % 97)
+    if duplicates:
+        grid = with_duplicate_points(grid, rng)
+    assert np.array_equal(solve_coupling(z, grid).assignment, cold_assignment(z, grid))
+
+
+@pytest.mark.parametrize(
+    "n, d, preset, seed", [(1000, 2, "skewt3", 3), (1000, 3, "mixture", 8), (1600, 2, "t3", 11)]
+)
+def test_warm_start_matches_cold_oracle_large(n, d, preset, seed):
+    z = sample_innovations(innovation_preset(preset, d), n, d, seed)
+    grid = make_grid(factorize(n, d), d, seed=seed)
+    assert np.array_equal(solve_coupling(z, grid).assignment, cold_assignment(z, grid))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_warm_start_from_a_single_coarse_point(n, d):
+    # m = n // 4 = 1: one coarse gridpoint, one potential, k = 1 neighbour
+    for trial in range(10):
+        z = np.random.default_rng(trial).standard_normal((n, d))
+        grid = make_grid(factorize(n, d), d, seed=trial)
+        c = solve_coupling(z, grid)
+        assert np.array_equal(c.assignment, cold_assignment(z, grid))
+        if d > 1:
+            assert np.isclose(coupling_cost(c, z), brute_force_cost(z, grid), atol=1e-10)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_warm_start_on_rounded_data_is_optimal(trial):
+    # duplicated rows and coordinates rounded to zero: many optimal couplings
+    rng = np.random.default_rng(50 + trial)
+    d = 1 + trial % 3
+    n = int(rng.integers(20, 300))
+    z = np.round(rng.standard_normal((n, d)) * (1 + trial % 4), trial % 2)
+    grid = make_grid(factorize(n, d), d, seed=trial)
+    c = solve_coupling(z, grid)
+    assert np.array_equal(np.sort(c.assignment), np.arange(n))
+    assert_equal_cost(z, grid, c.assignment)
+
+
+def test_warm_start_on_identical_columns_terminates():
+    # Bellman-Ford on this series meets a rounding cycle and must stop at its cap
+    rng = np.random.default_rng(19)
+    v = simulate_var(
+        VarModel.from_matrices([np.array([[0.7]])]), 150, rng.standard_normal((350, 1))
+    ).ravel()
+    x = np.column_stack([v, v])
+    grid = make_grid(factorize(150, 2), 2)
+    assert_equal_cost(x, grid, solve_coupling(x, grid).assignment)
+
+
+def tie_orbit_member(assignment, z, grid, rng):
+    """An assignment of equal cost: gridpoints shuffled within groups of equal
+    residual rows, then observations shuffled within duplicate gridpoints."""
+    out = assignment.copy()
+    _, rgroup = np.unique(z + 0.0, axis=0, return_inverse=True)
+    for r in np.unique(rgroup):
+        times = np.flatnonzero(rgroup.ravel() == r)
+        out[times] = rng.permutation(out[times])
+    _, ggroup = np.unique(grid.points, axis=0, return_inverse=True)
+    ggroup = ggroup.ravel()[out]
+    for gr in np.unique(ggroup):
+        times = np.flatnonzero(ggroup == gr)
+        out[times] = rng.permutation(out[times])
+    return out
+
+
+def canonical(assignment, z, grid):
+    return _canonicalize_ties(_sort_tied_residuals(assignment, z, grid), grid)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tied_rows_get_ascending_gridpoints(d):
+    rng = np.random.default_rng(d)
+    z = np.round(rng.standard_normal((90, d)))
+    zeros = z[z == 0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert len(np.unique(z, axis=0)) < 90
+    grid = make_grid(GridFactorization(90, 9 if d > 1 else 45, 10 if d > 1 else 2, 0), d)
+    a = solve_coupling(z, grid).assignment
+    assert np.array_equal(solve_coupling(z + 0.0, grid).assignment, a)  # -0.0 is 0.0
+    _, group = np.unique(z + 0.0, axis=0, return_inverse=True)
+    for r in np.unique(group):
+        times = np.flatnonzero(group.ravel() == r)
+        assert np.all(np.diff(a[times]) > 0)
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_tie_canonical_form_is_the_same_on_every_tied_optimum(trial):
+    # residual ties and origin copies together: every equal-cost relabelling
+    # of a solved assignment canonicalizes to the solved one
+    rng = np.random.default_rng(trial)
+    d = 1 + trial % 3
+    z = np.round(0.3 * rng.standard_normal((129, d)), 1)
+    grid = make_grid(factorize(129, d), d, seed=trial)  # n_0 = 4 and 8 at d = 3, 2
+    if trial % 2 or d == 1:
+        grid = with_duplicate_points(grid, rng)
+    a = solve_coupling(z, grid).assignment
+    for _ in range(10):
+        assert np.array_equal(canonical(tie_orbit_member(a, z, grid, rng), z, grid), a)
