@@ -281,8 +281,7 @@ def test_warm_start_from_a_single_coarse_point(n, d):
         grid = make_grid(factorize(n, d), d, seed=trial)
         c = solve_coupling(z, grid)
         assert np.array_equal(c.assignment, cold_assignment(z, grid))
-        if d > 1:
-            assert np.isclose(coupling_cost(c, z), brute_force_cost(z, grid), atol=1e-10)
+        assert np.isclose(coupling_cost(c, z), brute_force_cost(z, grid), atol=1e-10)
 
 
 @pytest.mark.parametrize("trial", range(12))
