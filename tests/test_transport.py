@@ -218,12 +218,17 @@ def cold_cost(residuals, grid):
     return (g * g).sum(1)[None, :] - 2.0 * (z @ g.T)
 
 
+def canonical(assignment, residuals, grid):
+    """The assignment with tied residual rows, then duplicate gridpoints, settled."""
+    return _canonicalize_ties(_sort_tied_residuals(assignment, residuals, grid), grid)
+
+
 def cold_assignment(residuals, grid):
     """Oracle: the canonicalized assignment of a cold solve of the full cost."""
     rows, cols = linear_sum_assignment(cold_cost(residuals, grid))
     a = np.empty(grid.n, dtype=int)
     a[rows] = cols
-    return _canonicalize_ties(_sort_tied_residuals(a, residuals, grid), grid)
+    return canonical(a, residuals, grid)
 
 
 def with_duplicate_points(grid, rng, k=3):
@@ -322,10 +327,6 @@ def tie_orbit_member(assignment, z, grid, rng):
         times = np.flatnonzero(ggroup == gr)
         out[times] = rng.permutation(out[times])
     return out
-
-
-def canonical(assignment, z, grid):
-    return _canonicalize_ties(_sort_tied_residuals(assignment, z, grid), grid)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
