@@ -15,11 +15,10 @@ from .grid import (
     make_grid,
     make_sphere_grid,
 )
-from .transport import Coupling, coupling_cost, permute_coupling, solve_coupling
+from .transport import Coupling, coupling_cost, solve_coupling
 from .scores import (
     ScoreSpec,
     centering,
-    chisq_cdf,
     chisq_quantile,
     chisq_sf,
     grid_scores,
@@ -30,21 +29,12 @@ from .var_algebra import (
     VarModel,
     build_operator_matrices,
     fit_constrained_ls,
-    green_matrices,
     residuals,
     simulate_var,
     unvec,
     vec,
 )
-from .rank_tests import (
-    RankCrossCovStack,
-    TestOutcome,
-    central_sequence,
-    estimate_upsilon,
-    rank_cross_cov,
-    test_order,
-    test_specified,
-)
+from .rank_tests import TestOutcome, test_order, test_specified
 from .gaussian_tests import gaussian_test_order, gaussian_test_specified
 from .order_id import IdentificationError, IdentificationTrace, identify_order
 from .simulation import (
@@ -70,34 +60,27 @@ __all__ = [
     "InputError",
     "NumericalError",
     "OperatorMatrices",
-    "RankCrossCovStack",
     "ScoreSpec",
     "StudyConfig",
     "StudyReport",
     "TestOutcome",
     "VarModel",
     "build_operator_matrices",
-    "central_sequence",
     "centering",
-    "chisq_cdf",
     "chisq_quantile",
     "chisq_sf",
     "contaminate",
     "coupling_cost",
-    "estimate_upsilon",
     "factorize",
     "fit_constrained_ls",
     "gaussian_test_order",
     "gaussian_test_specified",
-    "green_matrices",
     "grid_scores",
     "identify_order",
     "innovation_preset",
     "make_grid",
     "make_sphere_grid",
     "parse_config",
-    "permute_coupling",
-    "rank_cross_cov",
     "residuals",
     "run_study",
     "sample_innovations",

@@ -28,6 +28,7 @@ from .scores import ScoreSpec
 from .simulation import (
     ContaminationSpec,
     InnovationModel,
+    _floats,
     contaminate,
     innovation_preset,
     parse_config,
@@ -363,7 +364,7 @@ def cmd_simulate(args) -> int:
     seed = _seed_or_fresh(args)
     d = args.d
     if args.theta is not None:
-        theta = np.asarray([float(v) for v in args.theta.split(",")])
+        theta = np.asarray(_floats(args.theta))
         p = args.p if args.p is not None else theta.size // (d * d)
         model = VarModel(d=d, p0=p, p1=p, theta=args.ell * theta)
     else:
@@ -379,8 +380,8 @@ def cmd_simulate(args) -> int:
     if args.contaminate_fraction is not None:
         if args.contaminate_size is None:
             raise InputError("--contaminate-size required with --contaminate-fraction")
-        size = [float(v) for v in args.contaminate_size.split(",")]
-        x = contaminate(x, ContaminationSpec(args.contaminate_fraction, size))
+        spec = ContaminationSpec(args.contaminate_fraction, _floats(args.contaminate_size))
+        x = contaminate(x, spec)
     _write_matrix_csv(args.out, x)
     _emit(
         "simulate",

@@ -105,7 +105,7 @@ def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOut
         z = _whiten(residuals(x, theta0))
         ops = build_operator_matrices(theta0, n)
         L = ops.effective_lags
-        a = ops.Q[: L * d * d].T
+        a = ops.Q.T
         k_inv = _solve_spd(a @ a.T, "Q'Q")
     meta = _meta("gaussian", n, d, theta0.p0, theta0.p1)
     return _outcome(z, 0.0, L, a, k_inv, df, alpha, meta)
@@ -135,9 +135,8 @@ def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome
     theta_hat = fit_constrained_ls(x, p0, p1)
     z = _center(residuals(x, theta_hat))
     ops = build_operator_matrices(theta_hat, n)
-    L = ops.effective_lags
+    t, L = ops.T, ops.effective_lags
     k = d * d * p0
-    t = ops.T[:, : L * d * d]
     lam = _block_gram(t, _lag1_moment(z))
     lam11_inv = _solve_spd(lam[:k, :k], "Lambda_11;N", ridge=True)
     bmat = lam[k:, :k] @ lam11_inv

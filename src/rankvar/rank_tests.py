@@ -1,4 +1,4 @@
-"""Rank-based cross-covariances, central sequences, and the two test statistics.
+"""The rank-based test statistics: specified parameter and model order.
 
 The specified-parameter statistic S and the order-testing statistic W both
 live on the lagged score cross-covariances of the center-outward ranks and
@@ -13,16 +13,15 @@ v.  :func:`_lag_stacks` is the single kernel that forms v, for the observed
 assignment (the identity permutation) and for permuted ones alike;
 :func:`_block_gram` forms the Gram matrices sum_i A_i C A_i' behind K; and
 :func:`_outcome` evaluates the form and calibrates it.  Each test only
-builds its A and K.  :func:`rank_cross_cov` and :func:`central_sequence`
-are an independent per-lag route to the same stack, kept as the reference
-the tests check the kernel against.
+builds its A and K, from operator matrices that already stop at the lag
+horizon.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,62 +31,26 @@ from .grid import BallGrid
 from .scores import (
     ScoreSpec,
     _table_centering,
-    centering,
     chisq_quantile,
     chisq_sf,
     grid_scores,
     score_covariance,
 )
-from .transport import Coupling, solve_coupling
+from .transport import solve_coupling
 from .var_algebra import (
-    OperatorMatrices,
     VarModel,
     build_operator_matrices,
     fit_constrained_ls,
     residuals,
 )
 
-__all__ = [
-    "RankCrossCovStack",
-    "TestOutcome",
-    "rank_cross_cov",
-    "central_sequence",
-    "test_specified",
-    "estimate_upsilon",
-    "test_order",
-]
+__all__ = ["TestOutcome", "test_specified", "test_order"]
 
 # Permutation batches are processed in fixed-size chunks so that the per-time
 # score arrays stay comfortably in memory at M = 5000, n = 800.
 _PERM_CHUNK = 1024
 
 _EXHAUSTIVE_LIMIT = 8
-
-
-@dataclass(frozen=True)
-class RankCrossCovStack:
-    """Lagged rank cross-covariances Gamma_i, i = 1..L, with their weights.
-
-    Attributes
-    ----------
-    blocks : (L, d, d) array
-        Gamma_i = (n-i)^{-1} sum_{t=i+1}^n J1(F_t) J2(F_{t-i})'.
-    weights : (L,) array
-        (n-i)^{1/2} / n^{1/2}, the stacking weights.
-    centering : (d, d) array
-        The exact null mean of every block.
-    n : int
-        Sample size behind the coupling.
-    """
-
-    blocks: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    centering: np.ndarray = field(repr=False)
-    n: int = 0
-
-    @property
-    def max_lag(self) -> int:
-        return self.blocks.shape[0]
 
 
 @dataclass(frozen=True)
@@ -124,62 +87,6 @@ class TestOutcome:
             "reject": bool(self.reject),
             "meta": dict(self.meta),
         }
-
-
-def _score_pair(coupling: Coupling, spec: ScoreSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time score arrays (J1(F_t), J2(F_t)) as (n, d) matrices."""
-    g1 = grid_scores(spec, 1, coupling.grid)
-    g2 = grid_scores(spec, 2, coupling.grid)
-    return g1[coupling.assignment], g2[coupling.assignment]
-
-
-def rank_cross_cov(c: Coupling, spec: ScoreSpec, max_lag: int) -> RankCrossCovStack:
-    """All lagged rank cross-covariances up to ``max_lag``.
-
-    Gamma_i averages the (n - i) outer products J1(F_t) J2(F_{t-i})' and the
-    attached centering matrix is its exact expectation under the null, which
-    does not depend on the lag.
-    """
-    n = c.n
-    if not 1 <= max_lag <= n - 1:
-        raise InputError(f"need 1 <= max_lag <= n-1 = {n - 1}, got {max_lag}")
-    a, b = _score_pair(c, spec)
-    d = a.shape[1]
-    blocks = np.empty((max_lag, d, d))
-    for i in range(1, max_lag + 1):
-        blocks[i - 1] = a[i:].T @ b[: n - i] / (n - i)
-    lags = np.arange(1, max_lag + 1)
-    weights = np.sqrt(n - lags) / math.sqrt(n)
-    return RankCrossCovStack(
-        blocks=blocks, weights=weights, centering=centering(spec, c.grid), n=n
-    )
-
-
-def _stack_vector(stack: RankCrossCovStack) -> np.ndarray:
-    """Concatenated blocks (n-i)^{1/2} vec(Gamma_i - centering).
-
-    This is n^{1/2} times the weighted stack, the form both statistics
-    consume.
-    """
-    L, d, _ = stack.blocks.shape
-    centered = stack.blocks - stack.centering
-    v = centered.transpose(0, 2, 1).reshape(L, d * d)  # column-major vec per lag
-    scale = stack.weights * math.sqrt(stack.n)
-    return (v * scale[:, None]).reshape(-1)
-
-
-def central_sequence(stack: RankCrossCovStack, ops: OperatorMatrices, n: int) -> np.ndarray:
-    """The rank-based central sequence Delta = n^{1/2} T (weighted stack)."""
-    if stack.n != n:
-        raise InputError(f"stack built at n={stack.n}, called with n={n}")
-    L = stack.max_lag
-    if L != ops.effective_lags:
-        raise InputError(
-            f"stack horizon {L} does not match operator truncation "
-            f"{ops.effective_lags}"
-        )
-    d2 = stack.blocks.shape[1] ** 2
-    return ops.T[:, : L * d2] @ _stack_vector(stack)
 
 
 def _solve_spd(mat: np.ndarray, what: str, ridge: bool = False) -> np.ndarray:
@@ -388,13 +295,12 @@ def _delta_at(model: VarModel, x: np.ndarray, table: np.ndarray, grid: BallGrid,
     holds the gridpoint scores.  Delta is the map whose local slope in theta
     is -Upsilon.
     """
-    n, d = x.shape
+    n = x.shape[0]
     coupling = solve_coupling(residuals(x, model), grid)
     ops = build_operator_matrices(model, n)
     s = table[coupling.assignment]
-    L = ops.effective_lags
-    v = _lag_stacks(s, m_vec, L, np.arange(n)[None, :])[0]
-    return s, ops, ops.T[:, : L * d * d] @ v
+    v = _lag_stacks(s, m_vec, ops.effective_lags, np.arange(n)[None, :])[0]
+    return s, ops, ops.T @ v
 
 
 def _scores_and_centering(spec: ScoreSpec, grid: BallGrid):
@@ -429,16 +335,16 @@ def test_specified(
 
     table, m_vec = _scores_and_centering(spec, grid)
     s, ops, _ = _delta_at(theta0, x, table, grid, m_vec)
-    L = ops.effective_lags
-    a = ops.Q[: L * d * d].T
+    a = ops.Q.T
     k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
     meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M_eff, seed)
     return _outcome(
-        s, m_vec, L, a, k_inv, d * d * theta0.p1, alpha, meta, M_eff, seed, exhaustive
+        s, m_vec, ops.effective_lags, a, k_inv, d * d * theta0.p1, alpha, meta,
+        M_eff, seed, exhaustive,
     )
 
 
-def estimate_upsilon(x, theta_hat: VarModel, spec: ScoreSpec, grid: BallGrid) -> np.ndarray:
+def _upsilon(x, theta_hat: VarModel, table, grid, m_vec, base_delta):
     """Finite-difference estimate of the d^2 p1 x d^2 p0 cross-information.
 
     Column i is -(Delta(theta_hat + h e_i) - Delta(theta_hat)) / (h n^{1/2})
@@ -446,21 +352,9 @@ def estimate_upsilon(x, theta_hat: VarModel, spec: ScoreSpec, grid: BallGrid) ->
     central sequence in the direction of the i-th coordinate of the free
     parameter blocks; every one of the p0 d^2 columns is filled.  If a
     perturbed model leaves the stationarity region the step is halved, up
-    to ten times.
-    """
-    x = np.asarray(x, dtype=float)
-    if theta_hat.p0 < 1:
-        raise InputError("Upsilon estimation needs p0 >= 1")
-    table, m_vec = _scores_and_centering(spec, grid)
-    base_delta = _delta_at(theta_hat, x, table, grid, m_vec)[2]
-    return _upsilon(x, theta_hat, table, grid, m_vec, base_delta)
-
-
-def _upsilon(x, theta_hat: VarModel, table, grid, m_vec, base_delta):
-    """The finite-difference loop of :func:`estimate_upsilon` on validated inputs.
-
-    ``table`` and ``m_vec`` are the caller's gridpoint scores and null mean,
-    ``base_delta`` is Delta(theta_hat).
+    to ten times.  ``table`` and ``m_vec`` are the caller's gridpoint scores
+    and null mean, ``base_delta`` is Delta(theta_hat); theta_hat has
+    p0 >= 1.
     """
     n = x.shape[0]
     d, p0, p1 = theta_hat.d, theta_hat.p0, theta_hat.p1
@@ -520,7 +414,6 @@ def test_order(
     theta_hat = fit_constrained_ls(x, p0, p1)
     table, m_vec = _scores_and_centering(spec, grid)
     s, ops, delta = _delta_at(theta_hat, x, table, grid, m_vec)
-    L = ops.effective_lags
     d2 = d * d
     k = d2 * p0
 
@@ -537,12 +430,12 @@ def test_order(
 
     # W is the form in Delta_II - B Delta_I = [-B, I] T v, whose covariance
     # Lambda*_II = [-B, I] Lambda [-B, I]' is the block Gram of that map.
-    t = ops.T[:, : L * d2]
-    a = t[k:] - bmat @ t[:k]
+    a = ops.T[k:] - bmat @ ops.T[:k]
     k_inv = _solve_spd(
         _block_gram(a, score_covariance(spec, d)), "Lambda*_II", ridge=True
     )
     meta = _meta(spec.kind, n, d, p0, p1, M_eff, seed)
     return _outcome(
-        s, m_vec, L, a, k_inv, d2 * (p1 - p0), alpha, meta, M_eff, seed, exhaustive
+        s, m_vec, ops.effective_lags, a, k_inv, d2 * (p1 - p0), alpha, meta,
+        M_eff, seed, exhaustive,
     )

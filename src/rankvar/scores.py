@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr, chdtrc, gammaincinv
+from scipy.special import chdtrc, gammaincinv
 
 from ._errors import InputError
 from .grid import BallGrid
@@ -23,7 +23,6 @@ __all__ = [
     "grid_scores",
     "score_covariance",
     "centering",
-    "chisq_cdf",
     "chisq_sf",
     "chisq_quantile",
 ]
@@ -58,12 +57,6 @@ class ScoreSpec:
         if self.kind == "spearman":
             return 1.0 / 3.0
         return float(d)
-
-
-def chisq_cdf(x, df: float):
-    """Chi-square(df) distribution function (``scipy.special.chdtr``)."""
-    p = chdtr(df, np.maximum(x, 0.0))
-    return float(p) if np.ndim(x) == 0 else p
 
 
 def chisq_sf(x, df: float):

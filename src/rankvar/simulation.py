@@ -239,9 +239,10 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 < self.fraction < 0.5:
             raise InputError(f"need 0 < fraction < 0.5, got {self.fraction}")
-        object.__setattr__(
-            self, "size", np.asarray(self.size, dtype=float).reshape(-1)
-        )
+        size = np.asarray(self.size, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(size)):
+            raise InputError("outlier size contains non-finite entries")
+        object.__setattr__(self, "size", size)
 
     def positions(self, n: int) -> np.ndarray:
         count = int(np.floor(n * self.fraction))
@@ -347,10 +348,14 @@ _CONFIG_KEYS = {
 
 
 def _floats(text: str) -> list[float]:
+    """The comma- or space-separated numbers of ``text``; at least one."""
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise InputError(f"cannot parse numbers from {text!r}") from exc
+    if not values:
+        raise InputError(f"no numbers in {text!r}")
+    return values
 
 
 def parse_config(path: str) -> StudyConfig:
@@ -383,12 +388,21 @@ def parse_config(path: str) -> StudyConfig:
             raise InputError(f"config is missing required key {key!r}")
         return raw[key]
 
-    d = int(need("dgp.d"))
-    p = int(need("dgp.p"))
+    def number(kind, key: str, default: str | None = None):
+        """``kind`` (int or float) of the key's value, or of ``default`` when
+        the key is absent; without a default the key is required."""
+        text = need(key) if default is None else raw.get(key, default)
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise InputError(f"{key} = {text!r} is not a valid {kind.__name__}") from exc
+
+    d = number(int, "dgp.d")
+    p = number(int, "dgp.p")
     theta = _floats(need("dgp.theta"))
     ell = _floats(raw.get("dgp.ell", "1"))
-    n = int(need("n"))
-    big_n = int(need("N"))
+    n = number(int, "n")
+    big_n = number(int, "N")
     tests = tuple(tok.strip() for tok in need("tests").split(",") if tok.strip())
 
     kind = need("innovations.kind")
@@ -403,7 +417,7 @@ def parse_config(path: str) -> StudyConfig:
             sigma = np.asarray(vals).reshape(d, d)
         innov = InnovationModel.gaussian(d, sigma)
     elif kind == "student":
-        innov = InnovationModel.student(d, float(raw.get("innovations.nu", "3")))
+        innov = InnovationModel.student(d, number(float, "innovations.nu", "3"))
     elif kind == "skewt":
         vals = _floats(need("innovations.sigma"))
         if len(vals) != d * d:
@@ -412,7 +426,7 @@ def parse_config(path: str) -> StudyConfig:
             xi=_floats(raw.get("innovations.xi", ",".join(["0"] * d))),
             sigma=np.asarray(vals).reshape(d, d),
             alpha=_floats(need("innovations.alpha")),
-            nu=float(raw.get("innovations.nu", "3")),
+            nu=number(float, "innovations.nu", "3"),
         )
     else:
         raise InputError(f"unknown innovations.kind {kind!r}")
@@ -420,7 +434,7 @@ def parse_config(path: str) -> StudyConfig:
     contamination = None
     if "contamination.fraction" in raw or "contamination.size" in raw:
         contamination = ContaminationSpec(
-            fraction=float(need("contamination.fraction")),
+            fraction=number(float, "contamination.fraction"),
             size=_floats(need("contamination.size")),
         )
 
@@ -429,7 +443,7 @@ def parse_config(path: str) -> StudyConfig:
     if grid_keys:
         if len(grid_keys) != 3:
             raise InputError("grid.nr, grid.ns, grid.n0 must be given together")
-        grid_override = (int(raw["grid.nr"]), int(raw["grid.ns"]), int(raw["grid.n0"]))
+        grid_override = tuple(number(int, k) for k in ("grid.nr", "grid.ns", "grid.n0"))
 
     return StudyConfig(
         d=d,
@@ -440,14 +454,14 @@ def parse_config(path: str) -> StudyConfig:
         tests=tests,
         n=n,
         N=big_n,
-        M=int(raw["M"]) if "M" in raw else None,
-        alpha=float(raw.get("alpha", "0.05")),
-        seed=int(need("seed")),
+        M=number(int, "M") if "M" in raw else None,
+        alpha=number(float, "alpha", "0.05"),
+        seed=number(int, "seed"),
         out=raw.get("out"),
         task=raw.get("task", "reject"),
         contamination=contamination,
-        threads=int(raw["threads"]) if "threads" in raw else None,
-        max_order=int(raw["max_order"]) if "max_order" in raw else None,
+        threads=number(int, "threads") if "threads" in raw else None,
+        max_order=number(int, "max_order") if "max_order" in raw else None,
         grid_override=grid_override,
     )
 

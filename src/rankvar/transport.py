@@ -47,7 +47,7 @@ from ._errors import InputError
 from .grid import BallGrid
 from .var_algebra import _pow2_scaled
 
-__all__ = ["Coupling", "solve_coupling", "coupling_cost", "permute_coupling"]
+__all__ = ["Coupling", "solve_coupling", "coupling_cost"]
 
 
 class TransportError(InputError):
@@ -272,16 +272,3 @@ def coupling_cost(c: Coupling, residuals: np.ndarray) -> float:
         raise TransportError(f"residual shape {z.shape} vs coupling {c.f_values.shape}")
     diff = z - c.f_values
     return float((diff * diff).sum())
-
-
-def permute_coupling(c: Coupling, perm: np.ndarray) -> Coupling:
-    """Coupling with F-values permuted in time: new F(Z_t) = old F(Z_perm(t)).
-
-    Under the null the n-tuple of F-values is uniform over the n!/n_0!
-    distinguishable permutations of the gridpoints, so permuting a coupling
-    samples the exact conditional null distribution of any rank statistic.
-    """
-    p = np.asarray(perm, dtype=int)
-    if p.shape != (c.n,) or not np.array_equal(np.sort(p), np.arange(c.n)):
-        raise TransportError("perm is not a bijection of 0..n-1")
-    return _from_assignment(c.assignment[p], c.grid)

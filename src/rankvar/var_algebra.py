@@ -3,9 +3,9 @@
 A model is parametrized by theta = (vec A_1', ..., vec A_p1')' with
 column-major vec.  Null models of order p0 < p1 carry trailing zero blocks.
 The operator matrices M, P, Q and T = M'P'Q' translate the d^2 p1 central
-sequence into the span of the first n - 1 lagged cross-covariances; they are
-built from the Green matrices of the autoregressive operator A(L) and of its
-right inverse D(L).  The D(L) recursion runs in companion form, one
+sequence into the span of the lagged cross-covariances up to the lag
+horizon, which they alone decide; they are built from the Green matrices of
+the autoregressive operator A(L) and of its right inverse D(L).  The D(L) recursion runs in companion form, one
 (d x d p0)(d p0 x d p0) product per lag, and the Kronecker expansions
 kron(B, I_d) behind M and Q are each one broadcast over all blocks.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "simulate_var",
     "residuals",
     "fit_constrained_ls",
-    "green_matrices",
     "build_operator_matrices",
 ]
 
@@ -283,23 +282,15 @@ def fit_constrained_ls(
     return VarModel(d=d, p0=p0, p1=p1, theta=theta)
 
 
-def green_matrices(model: VarModel, horizon: int) -> np.ndarray:
-    """Green matrices G_0..G_horizon of the operator A(L).
+def _greens(model: VarModel, horizon: int) -> np.ndarray:
+    """Green matrices G_0..G_horizon of the operator A(L), as a
+    (horizon + 1, d, d) array.
 
     G_0 = I and G_u = sum_{i=1}^{p0} A_i G_{u-i} for u >= 1 (G_u = 0 for
     u < 0), so that A(L) applied to the sequence returns zero at all lags
-    u >= 1.  Stationarity makes the sequence geometrically decaying.
-
-    Returns a (horizon + 1, d, d) array.
+    u >= 1.  Stationarity, which the caller checks, makes the sequence
+    geometrically decaying.
     """
-    if horizon < 0:
-        raise InputError(f"need horizon >= 0, got {horizon}")
-    _require_stationary(model)
-    return _greens(model, horizon)
-
-
-def _greens(model: VarModel, horizon: int) -> np.ndarray:
-    """:func:`green_matrices` for a model already checked to be stationary."""
     d = model.d
     a_list = model.a_list
     g = np.zeros((horizon + 1, d, d))
@@ -323,23 +314,20 @@ class OperatorMatrices:
     P : (d^2 p1, d^2 p1) array
         Inverse-Casorati block; the identity for the default fundamental
         system.
-    Q : (d^2 (n-1), d^2 p1) array
+    Q : (d^2 L, d^2 p1) array, L = ``effective_lags``
         Identity block of size d^2 (p1 - p0) on top, the Kronecker-expanded
-        fundamental solutions below; rows vanish beyond ``effective_lags``.
-    T : (d^2 p1, d^2 (n-1)) array
+        fundamental solutions below.
+    T : (d^2 p1, d^2 L) array
         M' P' Q'.
-    greens : (p1 + 1, d, d) array
-        Green matrices of A(L) used to build M.
     effective_lags : int
-        Largest lag i with a nonzero block row Q_i; statistics may ignore
-        all later lags.
+        The lag horizon L: the largest lag i with a nonzero block row Q_i.
+        Q and T stop there, since every later block row is zero.
     """
 
     M: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     Q: np.ndarray = field(repr=False)
     T: np.ndarray = field(repr=False)
-    greens: np.ndarray = field(repr=False)
     effective_lags: int = 0
 
 
@@ -429,9 +417,10 @@ def build_operator_matrices(
     M is the Kronecker-expanded block triangular matrix of the Green
     matrices of A(L).  Q stacks an identity block of size d^2 (p1 - p0)
     over the Kronecker-expanded fundamental solutions of the D(L)
-    recursion; P undoes the Casorati matrix of the chosen fundamental
-    system at horizon p1.  The product T is invariant to that choice; the
-    default identity window makes P = I.
+    recursion, up to the lag horizon ``effective_lags``; P undoes the
+    Casorati matrix of the chosen fundamental system at horizon p1.  The
+    product T is invariant to that choice; the default identity window
+    makes P = I.
 
     Parameters
     ----------
@@ -455,22 +444,22 @@ def build_operator_matrices(
     greens = _greens(model, p1)
     m = _lower_block_toeplitz(_kron_eye(greens[:p1].transpose(0, 2, 1), d))
 
-    q = np.zeros((d2 * (n - 1), d2 * p1))
     head = d2 * (p1 - p0)
-    q[:head, :head] = np.eye(head)
     p_mat = np.eye(d2 * p1)
-    effective = p1
+    effective, expanded = p1, np.zeros((0, 0))
     if p0 > 0:
         d_coeffs = _d_coefficients(greens, p0)
         rows, effective = _fundamental_rows(model, n, d_coeffs, fundamental)
         # Block row t = p1 - p0 + 1 + k of Q is kron(rows[k], I_d).
         expanded = _kron_eye(rows, d).reshape(-1, d2 * p0)
-        q[head: head + expanded.shape[0], head:] = expanded
         if fundamental != "identity":
             # Casorati matrix at horizon p1: rows t = p1-p0+1 .. p1.
             p_mat[head:, head:] = np.linalg.inv(expanded[: d2 * p0])
+    # Q is block diagonal, the identity head over the fundamental rows (none
+    # at p0 = 0), with one block row per lag up to the horizon.
+    q = np.zeros((d2 * effective, d2 * p1))
+    q[:head, :head] = np.eye(head)
+    q[head:, head:] = expanded
 
     t_mat = m.T @ p_mat.T @ q.T
-    return OperatorMatrices(
-        M=m, P=p_mat, Q=q, T=t_mat, greens=greens, effective_lags=effective
-    )
+    return OperatorMatrices(M=m, P=p_mat, Q=q, T=t_mat, effective_lags=effective)

@@ -263,7 +263,7 @@ def test_criterion_10_operator_algebra_identities():
         p0 = 1 + (i // 3) % 3
         model = _stationary_model(rng, d, p0)
         horizon = p0 + 12
-        greens = rv.green_matrices(model, horizon)
+        greens = rv.var_algebra._greens(model, horizon)
         for u in range(1, horizon + 1):
             conv = sum(
                 greens[u - j] @ model.coefficient(j)
@@ -289,12 +289,12 @@ def test_criterion_11_rank_autocovariance_shrinkage():
     mses = []
     for n in (100, 400, 1600):
         grid = rv.make_grid(rv.factorize(n, 2), 2)
+        scores, m = rv.grid_scores(spec, 1, grid), rv.centering(spec, grid)
         total = 0.0
         for r in range(200):
             z = np.random.default_rng(50_000 + r).standard_normal((n, 2))
-            coupling = rv.solve_coupling(z, grid)
-            stack = rv.rank_cross_cov(coupling, spec, 1)
-            centered = stack.blocks[0] - stack.centering
+            s = scores[rv.solve_coupling(z, grid).assignment]
+            centered = s[1:].T @ s[:-1] / (n - 1) - m
             f = population_f(z)
             population = f[1:].T @ f[:-1] / (n - 1)
             total += (n - 1) * float(((centered - population) ** 2).sum())

@@ -446,6 +446,26 @@ def test_simulate_defaults_and_contamination(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flags,fragment",
+    [
+        (["--theta", "0.1,abc,0,0"], "cannot parse numbers"),
+        (["--theta", ""], "no numbers"),
+        (["--contaminate-fraction", "0.2", "--contaminate-size", "1,x"],
+         "cannot parse numbers"),
+        (["--contaminate-fraction", "0.2", "--contaminate-size", "nan,1"], "non-finite"),
+        (["--contaminate-fraction", "0.2", "--contaminate-size", "1,inf"], "non-finite"),
+    ],
+)
+def test_simulate_rejects_malformed_numbers(tmp_path, capsys, flags, fragment):
+    out = tmp_path / "s.csv"
+    code, _, stderr = run_cli(capsys, "simulate", "--n", "100", "--d", "2",
+                              "--seed", "9", *flags, "--out", str(out))
+    assert code == 2
+    assert fragment in stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- mc
 
 

@@ -11,16 +11,16 @@ from rankvar import (
     ScoreSpec,
     VarModel,
     build_operator_matrices,
-    central_sequence,
-    estimate_upsilon,
+    centering,
     factorize,
+    fit_constrained_ls,
+    grid_scores,
     make_grid,
-    permute_coupling,
-    rank_cross_cov,
     residuals,
     score_covariance,
     solve_coupling,
 )
+from rankvar.rank_tests import _delta_at, _scores_and_centering, _upsilon
 
 # rv.test_specified / rv.test_order stay behind the module qualifier so
 # pytest does not try to collect them as test items.
@@ -30,20 +30,31 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 ZERO2 = VarModel(d=2, p0=0, p1=1, theta=np.zeros(4))
 
 
+def lag_cross_covs(assignment, spec, grid, max_lag):
+    """Reference route to the lagged rank cross-covariances, one lag at a time.
+
+    Gamma_i = (n-i)^{-1} sum_{t>i} J(F_t) J(F_{t-i})' for i = 1..max_lag,
+    with the gridpoint scores indexed by the assignment, as a
+    (max_lag, d, d) array.
+    """
+    s = grid_scores(spec, 1, grid)[assignment]
+    n = s.shape[0]
+    return np.array([s[i:].T @ s[: n - i] / (n - i) for i in range(1, max_lag + 1)])
+
+
 def test_two_point_sign_cross_covariance():
     grid = make_grid(GridFactorization(2, 1, 2, 0), 2)
     x = np.array([[3.0, 0.0], [-3.0, 0.0]])
     c = solve_coupling(x, grid)
-    stack = rank_cross_cov(c, ScoreSpec("sign"), 1)
-    assert np.allclose(stack.blocks[0], [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
+    spec = ScoreSpec("sign")
+    gamma = lag_cross_covs(c.assignment, spec, grid, 1)
+    assert np.allclose(gamma[0], [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
     # at n = 2 the lag-1 block is deterministic and equals its null mean
-    assert np.allclose(stack.centering, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
-    assert stack.max_lag == 1
-    assert np.isclose(stack.weights[0], np.sqrt(0.5))
+    assert np.allclose(centering(spec, grid), [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
 
 def test_permutation_average_of_blocks_is_centering():
-    # the attached centering is the exact mean of Gamma_1 over the uniform
+    # the centering is the exact mean of Gamma_1 over the uniform
     # permutation law, so enumerating all 24 assignments must recover it
     grid = make_grid(factorize(4, 2), 2)
     assert grid.symmetric
@@ -52,33 +63,33 @@ def test_permutation_average_of_blocks_is_centering():
     for spec in (ScoreSpec("sign"), ScoreSpec("spearman"), ScoreSpec("vdw")):
         acc = np.zeros((2, 2))
         for perm in itertools.permutations(range(4)):
-            cp = permute_coupling(c, np.array(perm))
-            acc += rank_cross_cov(cp, spec, 1).blocks[0]
-        stack = rank_cross_cov(c, spec, 1)
-        assert np.allclose(acc / 24.0, stack.centering, atol=1e-12)
-        assert np.any(stack.centering != 0.0)
+            acc += lag_cross_covs(c.assignment[list(perm)], spec, grid, 1)[0]
+        m = centering(spec, grid)
+        assert np.allclose(acc / 24.0, m, atol=1e-12)
+        assert np.any(m != 0.0)
 
 
 def enumerate_specified_stats(x, theta0, grid, spec):
     """Every permutation's value of S, by the per-lag reference route.
 
     S = H' (Q'(I kron C) Q)^{-1} H with H = sum_i (n-i)^{1/2} Q_i'
-    vec(Gamma_i - m), every Gamma_i taken from ``rank_cross_cov`` of the
-    permuted coupling.  For p0 = 0, p1 = 1 it reduces to
+    vec(Gamma_i - m), every Gamma_i taken from ``lag_cross_covs`` of the
+    permuted assignment.  For p0 = 0, p1 = 1 it reduces to
     (n - 1) vec(Gamma_1 - m)' C^{-1} vec(Gamma_1 - m).
     """
     n = x.shape[0]
     c = solve_coupling(residuals(x, theta0), grid)
     ops = build_operator_matrices(theta0, n)
     L = ops.effective_lags
-    q = ops.Q[: 4 * L]
+    q = ops.Q
     gram = q.T @ np.kron(np.eye(L), score_covariance(spec, 2)) @ q
     gram_inv = np.linalg.inv(gram)
     w = np.sqrt(n - np.arange(1, L + 1))
+    m = centering(spec, grid)
     vals = []
     for perm in itertools.permutations(range(n)):
-        stack = rank_cross_cov(permute_coupling(c, np.array(perm)), spec, L)
-        v = (stack.blocks - stack.centering).transpose(0, 2, 1).reshape(L, 4)
+        gamma = lag_cross_covs(c.assignment[list(perm)], spec, grid, L)
+        v = (gamma - m).transpose(0, 2, 1).reshape(L, 4)
         h = q.T @ (w[:, None] * v).reshape(-1)
         vals.append(float(h @ gram_inv @ h))
     return np.array(vals), L
@@ -182,34 +193,12 @@ def test_upsilon_fills_every_column():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((60, 2))
     grid = make_grid(factorize(60, 2), 2)
-    from rankvar import fit_constrained_ls
-
     theta_hat = fit_constrained_ls(x, 1, p1=2)
-    spec = ScoreSpec("spearman")
-    ups = estimate_upsilon(x, theta_hat, spec, grid)
+    table, m_vec = _scores_and_centering(ScoreSpec("spearman"), grid)
+    base_delta = _delta_at(theta_hat, x, table, grid, m_vec)[2]
+    ups = _upsilon(x, theta_hat, table, grid, m_vec, base_delta)
     assert ups.shape == (8, 4)
     assert np.all(np.any(ups != 0.0, axis=0))
-
-    zero_model = VarModel(d=2, p0=0, p1=1, theta=np.zeros(4))
-    with pytest.raises(InputError):
-        estimate_upsilon(x, zero_model, spec, grid)
-
-
-def test_central_sequence_requires_matching_truncation():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((120, 2))
-    grid = make_grid(factorize(120, 2), 2)
-    c = solve_coupling(x, grid)
-    model = VarModel.from_matrices([np.array([[0.5, 0.0], [0.0, 0.4]])])
-    ops = build_operator_matrices(model, 120)
-    assert ops.effective_lags < 119  # truncated well before the horizon
-    stack = rank_cross_cov(c, ScoreSpec("sign"), ops.effective_lags + 1)
-    with pytest.raises(InputError):
-        central_sequence(stack, ops, 120)
-    good = rank_cross_cov(c, ScoreSpec("sign"), ops.effective_lags)
-    assert central_sequence(good, ops, 120).shape == (4,)
-    with pytest.raises(InputError):
-        central_sequence(good, ops, 119)
 
 
 def test_input_validation():
@@ -231,8 +220,6 @@ def test_input_validation():
         rv.test_specified(x, theta3, spec, grid)
     with pytest.raises(InputError):
         rv.test_order(x, 2, 2, spec, grid)
-    with pytest.raises(InputError):
-        rank_cross_cov(solve_coupling(x, grid), spec, 20)
 
 
 def test_outcome_consistency_enforced():

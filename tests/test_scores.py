@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import chdtr
 
 from rankvar import (
     GridFactorization,
     InputError,
     ScoreSpec,
     centering,
-    chisq_cdf,
     chisq_quantile,
     chisq_sf,
     factorize,
@@ -75,9 +75,7 @@ def mc_score_covariance(
 @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 10.5])
 def test_chisq_cdf_sf_match_scipy(df):
     x = np.linspace(0.01, 40.0, 200)
-    assert np.allclose(chisq_cdf(x, df), stats.chi2.cdf(x, df), atol=1e-10)
     assert np.allclose(chisq_sf(x, df), stats.chi2.sf(x, df), atol=1e-10)
-    assert chisq_cdf(0.0, df) == 0.0
     assert chisq_sf(0.0, df) == 1.0
 
 
@@ -91,10 +89,10 @@ def test_chisq_quantile_anchors():
 def test_chisq_quantile_round_trip(df):
     p = np.linspace(0.001, 0.999, 97)
     x = chisq_quantile(df, p)
-    assert np.allclose(chisq_cdf(x, df), p, atol=1e-8)
+    assert np.allclose(chdtr(df, x), p, atol=1e-8)
     # the lower tail keeps its relative accuracy, below the rounding of 1 - p
     tiny = np.array([1e-17, 1e-12, 1e-8])
-    assert np.allclose(chisq_cdf(chisq_quantile(df, tiny), df), tiny, rtol=1e-10, atol=0.0)
+    assert np.allclose(chdtr(df, chisq_quantile(df, tiny)), tiny, rtol=1e-10, atol=0.0)
     with pytest.raises(InputError):
         chisq_quantile(df, 0.0)
     with pytest.raises(InputError):

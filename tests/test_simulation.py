@@ -173,6 +173,12 @@ def test_contamination_fraction_bounds():
             ContaminationSpec(fraction=bad, size=(1.0,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_contamination_size_must_be_finite(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        ContaminationSpec(fraction=0.2, size=(bad, 1.0))
+
+
 def test_contaminate_zero_size_is_pure_demeaning():
     x = np.random.default_rng(0).standard_normal((100, 2)) + 3.0
     out = contaminate(x, ContaminationSpec(fraction=0.05, size=(0.0, 0.0)))
@@ -287,6 +293,12 @@ _BASE_LINES = {
         ({"dgp.theta": "a b"}, None, "cannot parse numbers"),
         ({}, "grid.nr = 5", "given together"),
         ({"innovations.kind": "cauchy"}, None, "unknown innovations.kind"),
+        ({"dgp.d": "two"}, None, "dgp.d = 'two' is not a valid int"),
+        ({"N": "5.5"}, None, "N = '5.5' is not a valid int"),
+        ({}, "alpha = x", "alpha = 'x' is not a valid float"),
+        ({}, "M = 99.5", "M = '99.5' is not a valid int"),
+        ({}, "grid.nr = 5\ngrid.ns = 4\ngrid.n0 = one", "grid.n0 = 'one'"),
+        ({"innovations.kind": "student"}, "innovations.nu = three", "innovations.nu"),
     ],
 )
 def test_parse_config_errors(tmp_path, replace, extra, fragment):

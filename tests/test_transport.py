@@ -15,7 +15,6 @@ from rankvar import (
     factorize,
     innovation_preset,
     make_grid,
-    permute_coupling,
     sample_innovations,
     simulate_var,
     solve_coupling,
@@ -148,11 +147,10 @@ def test_coupling_arrays_are_read_only():
     x = np.random.default_rng(2).standard_normal((12, 2))
     grid = make_grid(factorize(12, 2), 2)
     c = solve_coupling(x, grid)
-    for cc in (c, permute_coupling(c, np.arange(12)[::-1])):
-        for a in (cc.assignment, cc.f_values, cc.ranks, cc.signs):
-            assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            cc.assignment[0] = 1
+    for a in (c.assignment, c.f_values, c.ranks, c.signs):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        c.assignment[0] = 1
 
 
 def test_shared_scope_returns_the_stored_coupling():
@@ -171,26 +169,6 @@ def test_shared_scope_returns_the_stored_coupling():
     with pytest.raises(RuntimeError), _shared_couplings():
         raise RuntimeError
     assert _SHARED.get() is None
-
-
-def test_permute_coupling():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((8, 2))
-    grid = make_grid(factorize(8, 2), 2)
-    c = solve_coupling(x, grid)
-
-    ident = permute_coupling(c, np.arange(8))
-    assert np.array_equal(ident.assignment, c.assignment)
-
-    p = rng.permutation(8)
-    q = rng.permutation(8)
-    once = permute_coupling(permute_coupling(c, p), q)
-    twice = permute_coupling(c, p[q])
-    assert np.array_equal(once.assignment, twice.assignment)
-
-    # a permutation relabels which grid point each observation gets,
-    # so the multiset of assigned grid rows is unchanged
-    assert set(permute_coupling(c, p).assignment) == set(c.assignment)
 
 
 def test_coupling_exposes_n_and_grid():

@@ -8,25 +8,25 @@ from rankvar import (
     VarModel,
     build_operator_matrices,
     fit_constrained_ls,
-    green_matrices,
     residuals,
     simulate_var,
     unvec,
     vec,
 )
-from rankvar.var_algebra import _d_coefficients
+from rankvar.var_algebra import _d_coefficients, _greens
 
 
 def kron_loop_operators(model, n, fundamental="identity"):
     """Oracle: M, P, Q, T and effective_lags built one block and one lag at a time.
 
     Fundamental rows follow psi_t = -sum_i D_i psi_{t-i} as a list, one
-    product per coefficient; every block of M and Q is its own np.kron.
+    product per coefficient; every block of M and Q is its own np.kron.  Q
+    has all n - 1 block rows and T all n - 1 block columns.
     """
     d, p0, p1 = model.d, model.p0, model.p1
     d2 = d * d
     eye_d = np.eye(d)
-    greens = green_matrices(model, p1)
+    greens = _greens(model, p1)
     m = np.zeros((d2 * p1, d2 * p1))
     for r in range(1, p1 + 1):
         for c in range(1, r + 1):
@@ -87,9 +87,12 @@ def assert_matches_oracle(model, n, fundamental):
     assert np.array_equal(ops.M, m)
     assert np.array_equal(ops.P, p_mat)
     assert ops.effective_lags == effective
-    for got, want in ((ops.Q, q), (ops.T, t)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # production Q and T stop at the horizon; the oracle's later block rows are zero
+    rows = model.d ** 2 * effective
+    for got, want in ((ops.Q, q), (ops.T.T, t.T)):
+        assert got.shape == want[:rows].shape
+        assert np.max(np.abs(got - want[:rows])) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(want[rows:] == 0.0)
     return ops
 
 
@@ -154,16 +157,15 @@ def test_spectral_radius_is_computed_once_per_model(monkeypatch):
     assert not model.theta.flags.writeable and model.theta[0] == 0.5
     assert model.is_stationary()
     build_operator_matrices(model, 50)
-    green_matrices(model, 3)
     simulate_var(model, 5, np.zeros((5, 2)), burn_in=0)
     assert np.isclose(model.spectral_radius(), 0.5) and len(calls) == 1
 
 
 def test_green_matrices_scalar_examples():
-    g = green_matrices(VarModel.from_matrices([np.array([[0.5]])]), 3)
+    g = _greens(VarModel.from_matrices([np.array([[0.5]])]), 3)
     assert np.allclose(g.ravel(), [1.0, 0.5, 0.25, 0.125])
     m2 = VarModel.from_matrices([np.array([[0.5]]), np.array([[0.24]])])
-    g2 = green_matrices(m2, 4)
+    g2 = _greens(m2, 4)
     assert np.allclose(g2.ravel(), [1.0, 0.5, 0.49, 0.365, 0.3001])
 
 
@@ -175,7 +177,7 @@ def test_green_right_convolution(trial):
     d = int(rng.integers(2, 4))
     p0 = int(rng.integers(1, 4))
     model = random_stationary(rng, d, p0)
-    g = green_matrices(model, 12)
+    g = _greens(model, 12)
     for u in range(1, 13):
         acc = np.zeros((d, d))
         for i, a in enumerate(model.a_list, start=1):
@@ -187,7 +189,7 @@ def test_green_right_convolution(trial):
 def test_d_coefficients_are_negated_transposes():
     rng = np.random.default_rng(17)
     model = random_stationary(rng, 3, 3)
-    g = green_matrices(model, 3)
+    g = _greens(model, 3)
     for d_i, a_i in zip(_d_coefficients(g, 3), model.a_list):
         assert np.allclose(d_i, -a_i.T, atol=1e-12)
 
@@ -197,12 +199,13 @@ def test_operator_matrices_structure():
     model = random_stationary(rng, 2, 1, p1=3)
     n = 40
     ops = build_operator_matrices(model, n)
+    greens = _greens(model, 3)
     d2 = 4
     # M blocks are kron(G_{r-c}', I)
     for r in range(1, 4):
         for c in range(1, 4):
             block = ops.M[(r - 1) * d2: r * d2, (c - 1) * d2: c * d2]
-            want = np.kron(ops.greens[r - c].T, np.eye(2)) if r >= c else 0.0
+            want = np.kron(greens[r - c].T, np.eye(2)) if r >= c else 0.0
             assert np.allclose(block, want)
     assert np.array_equal(ops.P, np.eye(d2 * 3))
     assert np.allclose(ops.T, ops.M.T @ ops.P.T @ ops.Q.T)
@@ -233,9 +236,9 @@ def test_p0_zero_operator_matrices():
     ops = build_operator_matrices(model, 30)
     assert np.array_equal(ops.M, np.eye(8))
     assert ops.effective_lags == 2
-    t_expected = np.zeros((8, 4 * 29))
-    t_expected[:, :8] = np.eye(8)
-    assert np.allclose(ops.T, t_expected)
+    assert ops.Q.shape[0] == ops.T.shape[1] == 4 * 2  # L = p1
+    # T = [I, 0] over all 29 lags, cut after its first L block columns
+    assert np.allclose(ops.T, np.eye(8))
 
 
 @pytest.mark.parametrize("trial", range(8))
@@ -262,14 +265,14 @@ def test_near_unit_root_reaches_full_horizon():
     for fundamental in ("identity", "green"):
         ops = assert_matches_oracle(model, 800, fundamental)
         assert ops.effective_lags == 799
+        assert ops.Q.shape[0] == ops.T.shape[1] == 4 * 799
 
 
 def test_effective_lags_truncation():
     model = VarModel.from_matrices([np.array([[0.5]])])
     ops = build_operator_matrices(model, 500)
     assert ops.effective_lags < 100  # 0.5^t is below 1e-12 past t ~ 40
-    tail = ops.Q[ops.effective_lags:]
-    assert np.all(tail == 0.0)
+    assert ops.Q.shape[0] == ops.T.shape[1] == ops.effective_lags  # d = 1
 
 
 def test_simulate_var_recursion_and_inversion():
