@@ -98,17 +98,15 @@ def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOut
     if not theta0.theta.any():
         # S_N(0) = W_N(0) = v'(I_{p1} kron L)^{-1} v on the centered data.
         z = _center(x)
-        L = theta0.p1
-        a = np.eye(L * d * d)
-        k_inv = np.kron(np.eye(L), _solve_spd(_lag1_moment(z), "L"))
+        a = np.eye(theta0.p1 * d * d)
+        k_inv = np.kron(np.eye(theta0.p1), _solve_spd(_lag1_moment(z), "L"))
     else:
         z = _whiten(residuals(x, theta0))
         ops = build_operator_matrices(theta0, n)
-        L = ops.effective_lags
         a = ops.Q.T
         k_inv = _solve_spd(a @ a.T, "Q'Q")
     meta = _meta("gaussian", n, d, theta0.p0, theta0.p1)
-    return _outcome(z, 0.0, L, a, k_inv, df, alpha, meta)
+    return _outcome(z, 0.0, a, k_inv, df, alpha, meta)
 
 
 def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome:
@@ -135,7 +133,7 @@ def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome
     theta_hat = fit_constrained_ls(x, p0, p1)
     z = _center(residuals(x, theta_hat))
     ops = build_operator_matrices(theta_hat, n)
-    t, L = ops.T, ops.effective_lags
+    t = ops.T
     k = d * d * p0
     lam = _block_gram(t, _lag1_moment(z))
     lam11_inv = _solve_spd(lam[:k, :k], "Lambda_11;N", ridge=True)
@@ -144,4 +142,4 @@ def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome
     k_inv = _solve_spd(lam_star, "Lambda*_II;N", ridge=True)
     a = t[k:] - bmat @ t[:k]
     meta = _meta("gaussian", n, d, p0, p1)
-    return _outcome(z, 0.0, L, a, k_inv, d * d * (p1 - p0), alpha, meta)
+    return _outcome(z, 0.0, a, k_inv, d * d * (p1 - p0), alpha, meta)

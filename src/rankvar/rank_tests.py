@@ -15,6 +15,15 @@ assignment (the identity permutation) and for permuted ones alike;
 :func:`_outcome` evaluates the form and calibrates it.  Each test only
 builds its A and K, from operator matrices that already stop at the lag
 horizon.
+
+The order test removes the estimation effect with a finite-difference
+cross-information Upsilon, which needs the central sequence Delta at the
+fitted parameter and at its p0 d^2 perturbations.  :func:`_deltas`
+evaluates Delta over that whole stack of models at once: the perturbed
+couplings are warm-started from the base coupling's dual potentials, the
+perturbed operator matrices come from one companion recursion, and one
+:func:`_lag_stacks` call forms every model's cross-covariances.  Each
+model's numbers are the ones it would get alone.
 """
 
 from __future__ import annotations
@@ -36,9 +45,11 @@ from .scores import (
     grid_scores,
     score_covariance,
 )
-from .transport import solve_coupling
+from .transport import _perturbed_couplings, solve_coupling
 from .var_algebra import (
     VarModel,
+    _operator_stack,
+    _require_stationary,
     build_operator_matrices,
     fit_constrained_ls,
     residuals,
@@ -108,32 +119,33 @@ def _solve_spd(mat: np.ndarray, what: str, ridge: bool = False) -> np.ndarray:
     return inv
 
 
-def _lag_stacks(s: np.ndarray, m_vec, L: int, perms: np.ndarray) -> np.ndarray:
-    """Stacked lagged cross-covariances for a batch of time permutations.
+def _lag_stacks(sp: np.ndarray, m_vec, L: int) -> np.ndarray:
+    """Stacked lagged cross-covariances for a batch of per-time arrays.
 
     The one kernel behind every statistic.  Both slots of the
     cross-covariance read the same per-time array (J1 = J2 for every
-    ``ScoreSpec``; the Gaussian tests pass residuals).
+    ``ScoreSpec``; the Gaussian tests pass residuals).  Each row of the
+    batch is computed on its own, so a row's values do not depend on the
+    rest of the batch, and the lags up to a smaller horizon do not depend
+    on ``L``.
 
     Parameters
     ----------
-    s : (n, d) array
-        Per-time values: scores of the observed assignment, or residuals.
+    sp : (B, n, d) array
+        Per-time values: scores of the observed assignment under a batch
+        of time permutations (the identity gives the observed stack), or of
+        the assignments of a stack of models, or residuals.
     m_vec : (d*d,) array or 0.0
         vec of the null mean subtracted from every block.
     L : int
         Lag horizon.
-    perms : (B, n) integer array
-        Time permutations; the identity row gives the observed stack.
 
     Returns
     -------
     (B, L*d*d) array whose block i is (n-i)^{1/2} (vec Gamma_i - m_vec),
     Gamma_i = (n-i)^{-1} sum_t s_t s_{t-i}'.
     """
-    n, d = s.shape
-    B = perms.shape[0]
-    sp = s[perms]
+    B, n, d = sp.shape
     out = np.empty((B, L, d * d))
     for i in range(1, L + 1):
         # S_{t-i}' S_t is Gamma_i', whose row-major layout is vec(Gamma_i).
@@ -252,20 +264,23 @@ def _meta(score: str, n: int, d: int, p0: int, p1: int, M=None, seed=None) -> di
 
 
 def _outcome(
-    s, m_vec, L, a, k_inv, df, alpha, meta, M=None, seed=None, exhaustive=False
+    s, m_vec, a, k_inv, df, alpha, meta, M=None, seed=None, exhaustive=False
 ) -> TestOutcome:
     """Evaluate h' K^{-1} h, h = A v, and calibrate it.
 
-    The observed statistic is the identity permutation's value; with ``M``
-    (or ``exhaustive``) the same kernel evaluates the permuted assignments
-    and the test is calibrated on them, otherwise on the chi-square(df)
-    limit.  A non-finite statistic raises :class:`NumericalError`.
+    The lag horizon is the width of A in d^2 blocks.  The observed
+    statistic is the identity permutation's value; with ``M`` (or
+    ``exhaustive``) the same kernel evaluates the permuted assignments and
+    the test is calibrated on them, otherwise on the chi-square(df) limit.
+    A non-finite statistic raises :class:`NumericalError`.
     """
+    n, d = s.shape
+    L = a.shape[1] // (d * d)
+
     def forms(perms):
-        h = _lag_stacks(s, m_vec, L, perms) @ a.T
+        h = _lag_stacks(s[perms], m_vec, L) @ a.T
         return np.einsum("mi,ij,mj->m", h, k_inv, h)
 
-    n = s.shape[0]
     statistic = float(forms(np.arange(n)[None, :])[0])
     if not np.isfinite(statistic):
         raise NumericalError(f"non-finite statistic {statistic}")
@@ -288,19 +303,29 @@ def _outcome(
     )
 
 
-def _delta_at(model: VarModel, x: np.ndarray, table: np.ndarray, grid: BallGrid, m_vec):
-    """Scores, operator matrices and central sequence Delta at one parameter value.
+def _deltas(models: list[VarModel], x: np.ndarray, table: np.ndarray, grid: BallGrid, m_vec):
+    """Scores and operator matrices at ``models[0]``, and the central
+    sequence Delta at every model of the stack, as a (len(models), d^2 p1)
+    array.
 
-    Recomputes residuals, the coupling, and the operator matrices; ``table``
-    holds the gridpoint scores.  Delta is the map whose local slope in theta
-    is -Upsilon.
+    ``table`` holds the gridpoint scores.  The first model is coupled and
+    built by the public :func:`solve_coupling` and
+    :func:`build_operator_matrices`; the others, perturbations of it that
+    share its orders, are coupled warm from its coupling's potentials and
+    built as one stack.  One :func:`_lag_stacks` call forms the lagged
+    cross-covariances of every model at the largest lag horizon, and each
+    Delta reads only its own model's horizon.  Delta is the map whose local
+    slope in theta is -Upsilon.
     """
     n = x.shape[0]
-    coupling = solve_coupling(residuals(x, model), grid)
-    ops = build_operator_matrices(model, n)
-    s = table[coupling.assignment]
-    v = _lag_stacks(s, m_vec, ops.effective_lags, np.arange(n)[None, :])[0]
-    return s, ops, ops.T @ v
+    zs = [residuals(x, model) for model in models]
+    base = solve_coupling(zs[0], grid)
+    couplings = [base, *_perturbed_couplings(zs[1:], grid, base, zs[0])]
+    ops = [build_operator_matrices(models[0], n), *_operator_stack(models[1:], n)]
+    assignments = np.stack([c.assignment for c in couplings])
+    v = _lag_stacks(table[assignments], m_vec, max(o.effective_lags for o in ops))
+    deltas = np.stack([o.T @ row[: o.T.shape[1]] for o, row in zip(ops, v)])
+    return table[base.assignment], ops[0], deltas
 
 
 def _scores_and_centering(spec: ScoreSpec, grid: BallGrid):
@@ -334,31 +359,26 @@ def test_specified(
     M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
 
     table, m_vec = _scores_and_centering(spec, grid)
-    s, ops, _ = _delta_at(theta0, x, table, grid, m_vec)
+    s, ops, _ = _deltas([theta0], x, table, grid, m_vec)
     a = ops.Q.T
     k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
     meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M_eff, seed)
     return _outcome(
-        s, m_vec, ops.effective_lags, a, k_inv, d * d * theta0.p1, alpha, meta,
-        M_eff, seed, exhaustive,
+        s, m_vec, a, k_inv, d * d * theta0.p1, alpha, meta, M_eff, seed, exhaustive
     )
 
 
-def _upsilon(x, theta_hat: VarModel, table, grid, m_vec, base_delta):
-    """Finite-difference estimate of the d^2 p1 x d^2 p0 cross-information.
+def _perturbations(theta_hat: VarModel, n: int) -> tuple[list[VarModel], np.ndarray]:
+    """The p0 d^2 models theta_hat + h_i e_i, one per coordinate of the free
+    parameter blocks, and their steps h_i.
 
-    Column i is -(Delta(theta_hat + h e_i) - Delta(theta_hat)) / (h n^{1/2})
-    with step h = n^{-1/2}, i.e. the local-perturbation slope of the
-    central sequence in the direction of the i-th coordinate of the free
-    parameter blocks; every one of the p0 d^2 columns is filled.  If a
-    perturbed model leaves the stationarity region the step is halved, up
-    to ten times.  ``table`` and ``m_vec`` are the caller's gridpoint scores
-    and null mean, ``base_delta`` is Delta(theta_hat); theta_hat has
-    p0 >= 1.
+    The step is h = n^{-1/2}; if a perturbed model leaves the stationarity
+    region its step is halved, up to ten times.  A non-stationary
+    theta_hat raises the stationarity error of the operator matrices.
     """
-    n = x.shape[0]
+    _require_stationary(theta_hat)
     d, p0, p1 = theta_hat.d, theta_hat.p0, theta_hat.p1
-    ups = np.empty((p1 * d * d, p0 * d * d))
+    models, steps = [], []
     for col in range(p0 * d * d):
         h = n ** -0.5
         for _ in range(11):
@@ -372,9 +392,30 @@ def _upsilon(x, theta_hat: VarModel, table, grid, m_vec, base_delta):
             raise NumericalError(
                 f"perturbation of coordinate {col + 1} cannot stay stationary"
             )
-        delta_p = _delta_at(model_p, x, table, grid, m_vec)[2]
-        ups[:, col] = -(delta_p - base_delta) / (h * math.sqrt(n))
-    return ups
+        models.append(model_p)
+        steps.append(h)
+    return models, np.array(steps)
+
+
+def _upsilon(deltas: np.ndarray, steps: np.ndarray, n: int) -> np.ndarray:
+    """Finite-difference estimate of the d^2 p1 x d^2 p0 cross-information.
+
+    ``deltas`` holds Delta(theta_hat) and then Delta(theta_hat + h_i e_i)
+    for the perturbations of :func:`_perturbations`.  Column i is
+    -(Delta(theta_hat + h_i e_i) - Delta(theta_hat)) / (h_i n^{1/2}), the
+    local-perturbation slope of the central sequence in the direction of
+    the i-th coordinate of the free parameter blocks.  A column whose Delta
+    does not move at all raises :class:`NumericalError` naming the
+    coordinate.
+    """
+    moved = deltas[1:] - deltas[0]
+    still = np.flatnonzero(~moved.any(axis=1))
+    if still.size:
+        raise NumericalError(
+            f"Delta does not move with coordinate {still[0] + 1} of theta: "
+            f"Upsilon column {still[0] + 1} is zero"
+        )
+    return -moved.T / (steps * math.sqrt(n))
 
 
 def test_order(
@@ -413,11 +454,11 @@ def test_order(
     M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
     theta_hat = fit_constrained_ls(x, p0, p1)
     table, m_vec = _scores_and_centering(spec, grid)
-    s, ops, delta = _delta_at(theta_hat, x, table, grid, m_vec)
+    models, steps = _perturbations(theta_hat, n)
+    s, ops, deltas = _deltas([theta_hat, *models], x, table, grid, m_vec)
+    ups = _upsilon(deltas, steps, n)
     d2 = d * d
     k = d2 * p0
-
-    ups = _upsilon(x, theta_hat, table, grid, m_vec, delta)
     # Upsilon_11 is only symmetric in the limit; invert it as-is, with the
     # trace ridge, solving from the right for B = Upsilon_21 Upsilon_11^{-1}.
     u11 = ups[:k] + 1e-10 * abs(np.trace(ups[:k])) * np.eye(k)
@@ -436,6 +477,5 @@ def test_order(
     )
     meta = _meta(spec.kind, n, d, p0, p1, M_eff, seed)
     return _outcome(
-        s, m_vec, ops.effective_lags, a, k_inv, d2 * (p1 - p0), alpha, meta,
-        M_eff, seed, exhaustive,
+        s, m_vec, a, k_inv, d2 * (p1 - p0), alpha, meta, M_eff, seed, exhaustive
     )

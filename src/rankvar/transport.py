@@ -16,12 +16,18 @@ The coupling is therefore invariant to the scale of the residuals.
 Every solve is warm-started.  Subtracting row potentials u_t and column
 potentials v_k from the cost leaves the set of optimal assignments
 unchanged, and the exact solver finishes much sooner when (u, v) are close
-to the optimal duals.  The estimate comes from a coarse problem: a
-fixed-seed subsample of n // 4 residuals against as many gridpoints is
-solved exactly, its column potentials are recovered by Bellman-Ford
-relaxation and interpolated to every gridpoint by inverse distance; row and
-column minima complete the reduced cost.  The subsample seed is a constant
-and there is no option: the warm start moves the run time, not the result.
+to the optimal duals.  The estimate has one of two sources, and
+row and column minima complete the reduced cost either way.  For
+:func:`solve_coupling` it comes from a coarse problem: a fixed-seed
+subsample of n // 4 residuals against as many gridpoints is solved
+exactly, its column potentials are recovered by Bellman-Ford relaxation and
+interpolated to every gridpoint by inverse distance.  For
+:func:`_perturbed_couplings`, the couplings of residuals near a base
+array whose coupling is known (the finite-difference Upsilon perturbs the
+fitted VAR parameter by n^{-1/2}), it is the base cost's exact column
+potentials, recovered once from the base assignment.  The subsample seed is
+a constant and there is no option: the warm start moves the run time, not
+the result.
 Where the optimal coupling is unique the assignment is the one the full
 cost gives; where several are optimal (tied residual rows, or residuals on
 a mirror axis of the grid) the solver returns one of equal cost, and tie
@@ -192,14 +198,21 @@ def _column_potentials(cost: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return v
 
 
+def _reduce(cost: np.ndarray, v: np.ndarray) -> None:
+    """Subtract the column potentials v from the cost in place, then its row
+    minima, then its column minima.  The optimal assignments do not change."""
+    cost -= v
+    cost -= cost.min(axis=1, keepdims=True)
+    cost -= cost.min(axis=0)
+
+
 def _warm_start(cost: np.ndarray, g: np.ndarray) -> None:
     """Reduce the n x n cost in place by an estimate of its optimal duals.
 
     Solves the cost restricted to a fixed-seed subsample of m = n // 4 rows
     and m gridpoints, interpolates that solution's column potentials to every
     gridpoint by inverse distance over the min(4, m) nearest subsampled
-    gridpoints, subtracts them, and then subtracts the row and column minima.
-    The optimal assignments of the cost do not change.
+    gridpoints, and reduces the cost by them (:func:`_reduce`).
     """
     n = cost.shape[0]
     m = max(n // 4, 1)
@@ -215,9 +228,46 @@ def _warm_start(cost: np.ndarray, g: np.ndarray) -> None:
         w = 1.0 / dist
     hit = np.isinf(w).any(axis=1)  # on a subsampled gridpoint: take its potential
     w[hit] = np.isinf(w[hit])
-    cost -= (w * v[near]).sum(1) / w.sum(1)
-    cost -= cost.min(axis=1, keepdims=True)
-    cost -= cost.min(axis=0)
+    _reduce(cost, (w * v[near]).sum(1) / w.sum(1))
+
+
+def _cost(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The n x n cost |g_k|^2 - 2 Z_t'g_k, residuals brought to a standard scale."""
+    cost = _pow2_scaled(z) @ g.T
+    cost *= -2.0
+    cost += (g * g).sum(1)
+    return cost
+
+
+def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
+    """The coupling of one residual array: validation, the
+    :func:`_shared_couplings` memo, the cost reduced in place by
+    ``warm(cost, gridpoints)``, the exact solve and tie canonicalization."""
+    z = np.asarray(residuals, dtype=float)
+    if z.ndim != 2:
+        raise TransportError(f"residuals must be 2-d, got shape {z.shape}")
+    n, d = z.shape
+    if n != grid.n:
+        raise TransportError(f"{n} residuals vs grid of size {grid.n}")
+    if d != grid.d:
+        raise TransportError(f"residual dimension {d} vs grid dimension {grid.d}")
+    if not np.isfinite(z).all():
+        raise TransportError("non-finite residual entries")
+    shared = _SHARED.get()
+    if shared is not None:
+        key = (id(grid), z.tobytes())
+        if key in shared:
+            return shared[key]
+    cost = _cost(z, grid.points)
+    warm(cost, grid.points)
+    rows, cols = linear_sum_assignment(cost)
+    assignment = np.empty(n, dtype=int)
+    assignment[rows] = cols
+    assignment = _sort_tied_residuals(assignment, z, grid)
+    coupling = _from_assignment(_canonicalize_ties(assignment, grid), grid)
+    if shared is not None:
+        shared[key] = coupling
+    return coupling
 
 
 def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
@@ -235,34 +285,28 @@ def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
         Must match the grid's n and d; all entries finite.
     grid : BallGrid
     """
-    z = np.asarray(residuals, dtype=float)
-    if z.ndim != 2:
-        raise TransportError(f"residuals must be 2-d, got shape {z.shape}")
-    n, d = z.shape
-    if n != grid.n:
-        raise TransportError(f"{n} residuals vs grid of size {grid.n}")
-    if d != grid.d:
-        raise TransportError(f"residual dimension {d} vs grid dimension {grid.d}")
-    if not np.isfinite(z).all():
-        raise TransportError("non-finite residual entries")
-    shared = _SHARED.get()
-    if shared is not None:
-        key = (id(grid), z.tobytes())
-        if key in shared:
-            return shared[key]
-    g = grid.points
-    cost = _pow2_scaled(z) @ g.T
-    cost *= -2.0
-    cost += (g * g).sum(1)
-    _warm_start(cost, g)
-    rows, cols = linear_sum_assignment(cost)
-    assignment = np.empty(n, dtype=int)
-    assignment[rows] = cols
-    assignment = _sort_tied_residuals(assignment, z, grid)
-    coupling = _from_assignment(_canonicalize_ties(assignment, grid), grid)
-    if shared is not None:
-        shared[key] = coupling
-    return coupling
+    return _couple(residuals, grid, _warm_start)
+
+
+def _perturbed_couplings(stack, grid: BallGrid, base: Coupling, base_residuals) -> list[Coupling]:
+    """Optimal couplings of residual arrays near ``base_residuals``, whose
+    coupling is ``base``.
+
+    Each cost is reduced by the base cost's exact column potentials, which
+    :func:`_column_potentials` recovers from the base assignment once per
+    call, and only when some array of the stack misses the
+    :func:`_shared_couplings` memo.  The potentials move only the run time.
+    """
+    potentials = None
+
+    def warm(cost, g):
+        nonlocal potentials
+        if potentials is None:
+            base_cost = _cost(np.asarray(base_residuals, dtype=float), g)
+            potentials = _column_potentials(base_cost, base.assignment)
+        _reduce(cost, potentials)
+
+    return [_couple(z, grid, warm) for z in stack]
 
 
 def coupling_cost(c: Coupling, residuals: np.ndarray) -> float:

@@ -5,9 +5,12 @@ column-major vec.  Null models of order p0 < p1 carry trailing zero blocks.
 The operator matrices M, P, Q and T = M'P'Q' translate the d^2 p1 central
 sequence into the span of the lagged cross-covariances up to the lag
 horizon, which they alone decide; they are built from the Green matrices of
-the autoregressive operator A(L) and of its right inverse D(L).  The D(L) recursion runs in companion form, one
-(d x d p0)(d p0 x d p0) product per lag, and the Kronecker expansions
-kron(B, I_d) behind M and Q are each one broadcast over all blocks.
+the autoregressive operator A(L) and of its right inverse D(L).  They are
+built for a stack of models at once (a single model is the stack of one):
+the D(L) recursion runs in companion form, one batched (d x d p0)(d p0 x
+d p0) product per lag for the whole stack, each model with its own lag
+horizon, and the Kronecker expansions kron(B, I_d) behind M and Q are each
+one broadcast over all blocks.
 """
 
 from __future__ import annotations
@@ -354,57 +357,130 @@ def _kron_eye(blocks: np.ndarray, d: int) -> np.ndarray:
 
 
 def _lower_block_toeplitz(blocks: np.ndarray) -> np.ndarray:
-    """The k x k block matrix with block (r, c) = blocks[r - c] for r >= c, else 0."""
-    k, b1, b2 = blocks.shape
+    """The k x k block matrix with block (r, c) = blocks[r - c] for r >= c,
+    else 0, for every trailing (k, b1, b2) stack of ``blocks``."""
+    *lead, k, b1, b2 = blocks.shape
     lag = np.subtract.outer(np.arange(k), np.arange(k))
     lag[lag < 0] = k  # index of an appended zero block
-    padded = np.concatenate([blocks, np.zeros((1, b1, b2))])
-    return padded[lag].transpose(0, 2, 1, 3).reshape(k * b1, k * b2)
+    padded = np.concatenate([blocks, np.zeros((*lead, 1, b1, b2))], axis=-3)
+    return padded[..., lag, :, :].swapaxes(-3, -2).reshape(*lead, k * b1, k * b2)
+
+
+# The companion recursion tests its 1e-12 stopping bound once per chunk of
+# this many rows: rows computed past a model's stop are dropped.
+_ROW_CHUNK = 16
+
+
+def _small_runs(small: np.ndarray, p0: int) -> np.ndarray:
+    """For an (S, w) boolean array, the (S, w - p0 + 1) array that is true
+    where a run of p0 true entries starts (no columns when w < p0)."""
+    w = max(small.shape[1] - p0 + 1, 0)
+    runs = small[:, :w].copy()
+    for i in range(1, p0):
+        runs &= small[:, i:i + w]
+    return runs
 
 
 def _fundamental_rows(
-    model: VarModel,
+    models: list[VarModel],
     n: int,
-    d_coeffs: list[np.ndarray],
+    d_coeffs: np.ndarray,
     fundamental: str,
-) -> tuple[np.ndarray, int]:
-    """Rows [psi_t^{(1)} ... psi_t^{(p0)}] of the fundamental system.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [psi_t^{(1)} ... psi_t^{(p0)}] of the fundamental systems of a
+    stack of models that share (d, p0, p1).
 
-    Rows are indexed t = p1 - p0 + 1, ... and returned as a (rows, d, d p0)
-    array.  The initial window of p0 rows is either the identity basis
-    (Casorati matrix = I) or the Green matrices of D(L).  Later rows follow
-    psi_t = -sum_i D_i psi_{t-i} in companion form: the p0 preceding rows,
-    stacked, are one (d p0 x d p0) matrix, and each new row is the single
-    product [-D_p0 ... -D_1] times it, written into a preallocated array.
-    Extension stops once p0 consecutive rows fall below 1e-12 in max norm
-    (all later rows are then negligible) or at t = n - 1; trailing rows
-    below that bound are dropped.
+    Rows are indexed t = p1 - p0 + 1, ... and returned as an (S, rows, d,
+    d p0) array, with ``d_coeffs`` the (S, p0, d, d) coefficients D_1..D_p0
+    of each model.  The initial window of p0 rows is either the identity
+    basis (Casorati matrix = I) or the Green matrices of D(L).  Later rows
+    follow psi_t = -sum_i D_i psi_{t-i} in companion form: the p0 preceding
+    rows, stacked, are one (d p0 x d p0) matrix, and each new row is the
+    single product [-D_p0 ... -D_1] times it, one batched product per lag
+    for the whole stack.  A model's extension stops once p0 consecutive rows
+    fall below 1e-12 in max norm (all later rows are then negligible) or at
+    t = n - 1, and its trailing rows below that bound are dropped: model s
+    keeps rows[s, :length[s]], its lag horizon is (p1 - p0) + length[s], and
+    the second return value holds those horizons.
     """
-    d, p0, p1 = model.d, model.p0, model.p1
-    dp = d * p0
+    d, p0, p1 = models[0].d, models[0].p0, models[0].p1
+    dp, stack = d * p0, len(models)
+    rows = np.empty((stack, n - 1 - (p1 - p0), d, dp))
     if fundamental == "identity":
-        window = np.eye(dp)
+        rows[:, :p0] = np.eye(dp).reshape(p0, d, dp)
     else:
         # H_0 = I, H_u = -sum_i D_i H_{u-i}: Green matrices of D(L).
-        h = np.zeros((p0, d, d))
-        h[0] = np.eye(d)
+        h = np.zeros((stack, p0, d, d))
+        h[:, 0] = np.eye(d)
         for u in range(1, p0):
             for i in range(1, u + 1):
-                h[u] -= d_coeffs[i - 1] @ h[u - i]
-        window = _lower_block_toeplitz(h)
+                h[:, u] -= d_coeffs[:, i - 1] @ h[:, u - i]
+        rows[:, :p0] = _lower_block_toeplitz(h).reshape(stack, p0, d, dp)
 
-    rows = np.empty((n - 1 - (p1 - p0), d, dp))
-    rows[:p0] = window.reshape(p0, d, dp)
-    step = -np.concatenate(d_coeffs[::-1], axis=1)
-    length = p0  # rows kept: through the last one not below the bound
-    for k in range(p0, rows.shape[0]):
-        row = np.matmul(step, rows[k - p0:k].reshape(dp, dp), out=rows[k])
-        if abs(row).max() < 1e-12:
-            if k + 1 - length >= p0:
-                break
-        else:
-            length = k + 1
-    return rows[:length], (p1 - p0) + length
+    step = -d_coeffs[:, ::-1].transpose(0, 2, 1, 3).reshape(stack, d, dp)
+    flat = rows.reshape(stack, -1, dp)  # row k is flat[:, k d:(k + 1) d]
+    small = np.zeros((stack, rows.shape[1]), dtype=bool)
+    k = p0
+    while k < rows.shape[1]:
+        # Extend by a chunk of rows, then test the bound on the whole chunk.
+        end = min(k + _ROW_CHUNK, rows.shape[1])
+        for j in range(k, end):
+            np.matmul(step, flat[:, (j - p0) * d:j * d], out=flat[:, j * d:(j + 1) * d])
+        small[:, k:end] = abs(rows[:, k:end]).max(axis=(2, 3)) < 1e-12
+        k = end
+        if _small_runs(small[:, p0:k], p0).any(axis=1).all():
+            break
+    # A model keeps the rows before its first run of p0 rows below the bound.
+    # Past the last row computed, rows count as below it: a model with no
+    # run then keeps every row through its last one not below the bound.
+    tail = np.ones((stack, p0), dtype=bool)
+    length = p0 + _small_runs(np.hstack([small[:, p0:k], tail]), p0).argmax(axis=1)
+    return rows, (p1 - p0) + length
+
+
+def _operator_stack(
+    models: list[VarModel],
+    n: int,
+    fundamental: str = "identity",
+) -> list[OperatorMatrices]:
+    """:class:`OperatorMatrices` of every model of a stack that shares (d, p0,
+    p1), with one companion recursion for the whole stack.
+
+    The callers check p1, n and ``fundamental``; each model must be
+    stationary.  See :func:`build_operator_matrices`.
+    """
+    if not models:
+        return []
+    d, p0, p1 = models[0].d, models[0].p0, models[0].p1
+    for model in models:
+        _require_stationary(model)
+    d2 = d * d
+    greens = np.stack([_greens(model, p1) for model in models])
+    ms = _lower_block_toeplitz(_kron_eye(greens[:, :p1].transpose(0, 1, 3, 2), d))
+
+    head = d2 * (p1 - p0)
+    if p0 > 0:
+        d_coeffs = np.stack([np.stack(_d_coefficients(g, p0)) for g in greens])
+        rows, horizons = _fundamental_rows(models, n, d_coeffs, fundamental)
+    else:
+        horizons = np.full(len(models), p1)
+    out = []
+    for s, effective in enumerate(horizons.tolist()):
+        p_mat = np.eye(d2 * p1)
+        # Q is block diagonal, the identity head over the fundamental rows
+        # (none at p0 = 0), with one block row per lag up to the horizon.
+        q = np.zeros((d2 * effective, d2 * p1))
+        q[:head, :head] = np.eye(head)
+        if p0 > 0:
+            # Block row t = p1 - p0 + 1 + k of Q is kron(rows[s, k], I_d).
+            expanded = _kron_eye(rows[s, : effective - (p1 - p0)], d).reshape(-1, d2 * p0)
+            if fundamental != "identity":
+                # Casorati matrix at horizon p1: rows t = p1-p0+1 .. p1.
+                p_mat[head:, head:] = np.linalg.inv(expanded[: d2 * p0])
+            q[head:, head:] = expanded
+        t_mat = ms[s].T @ p_mat.T @ q.T
+        out.append(OperatorMatrices(M=ms[s], P=p_mat, Q=q, T=t_mat, effective_lags=effective))
+    return out
 
 
 def build_operator_matrices(
@@ -432,34 +508,10 @@ def build_operator_matrices(
         Initial window of the fundamental system.  "green" exists to
         exercise the invariance of T and has no practical advantage.
     """
-    d, p0, p1 = model.d, model.p0, model.p1
-    if p1 < 1:
+    if model.p1 < 1:
         raise InputError("need p1 >= 1 to build operator matrices")
-    if n <= p1 + 1:
-        raise InputError(f"need n > p1 + 1 = {p1 + 1}, got n={n}")
-    _require_stationary(model)
+    if n <= model.p1 + 1:
+        raise InputError(f"need n > p1 + 1 = {model.p1 + 1}, got n={n}")
     if fundamental not in ("identity", "green"):
         raise InputError(f"unknown fundamental system {fundamental!r}")
-    d2 = d * d
-    greens = _greens(model, p1)
-    m = _lower_block_toeplitz(_kron_eye(greens[:p1].transpose(0, 2, 1), d))
-
-    head = d2 * (p1 - p0)
-    p_mat = np.eye(d2 * p1)
-    effective, expanded = p1, np.zeros((0, 0))
-    if p0 > 0:
-        d_coeffs = _d_coefficients(greens, p0)
-        rows, effective = _fundamental_rows(model, n, d_coeffs, fundamental)
-        # Block row t = p1 - p0 + 1 + k of Q is kron(rows[k], I_d).
-        expanded = _kron_eye(rows, d).reshape(-1, d2 * p0)
-        if fundamental != "identity":
-            # Casorati matrix at horizon p1: rows t = p1-p0+1 .. p1.
-            p_mat[head:, head:] = np.linalg.inv(expanded[: d2 * p0])
-    # Q is block diagonal, the identity head over the fundamental rows (none
-    # at p0 = 0), with one block row per lag up to the horizon.
-    q = np.zeros((d2 * effective, d2 * p1))
-    q[:head, :head] = np.eye(head)
-    q[head:, head:] = expanded
-
-    t_mat = m.T @ p_mat.T @ q.T
-    return OperatorMatrices(M=m, P=p_mat, Q=q, T=t_mat, effective_lags=effective)
+    return _operator_stack([model], n, fundamental)[0]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankvar as rv
 from rankvar import (
@@ -20,7 +22,14 @@ from rankvar import (
     score_covariance,
     solve_coupling,
 )
-from rankvar.rank_tests import _delta_at, _scores_and_centering, _upsilon
+from rankvar import rank_tests
+from rankvar.rank_tests import (
+    _deltas,
+    _lag_stacks,
+    _perturbations,
+    _scores_and_centering,
+    _upsilon,
+)
 
 # rv.test_specified / rv.test_order stay behind the module qualifier so
 # pytest does not try to collect them as test items.
@@ -195,10 +204,116 @@ def test_upsilon_fills_every_column():
     grid = make_grid(factorize(60, 2), 2)
     theta_hat = fit_constrained_ls(x, 1, p1=2)
     table, m_vec = _scores_and_centering(ScoreSpec("spearman"), grid)
-    base_delta = _delta_at(theta_hat, x, table, grid, m_vec)[2]
-    ups = _upsilon(x, theta_hat, table, grid, m_vec, base_delta)
+    models, steps = _perturbations(theta_hat, 60)
+    deltas = _deltas([theta_hat, *models], x, table, grid, m_vec)[2]
+    ups = _upsilon(deltas, steps, 60)
     assert ups.shape == (8, 4)
     assert np.all(np.any(ups != 0.0, axis=0))
+
+
+def serial_delta(model, x, table, grid, m_vec):
+    """Oracle: Delta at one model, by its own coupling, operator build and
+    one-row lag stack."""
+    coupling = solve_coupling(residuals(x, model), grid)
+    ops = build_operator_matrices(model, x.shape[0])
+    v = _lag_stacks(table[coupling.assignment][None], m_vec, ops.effective_lags)[0]
+    return ops.T @ v
+
+
+def serial_upsilon(x, theta_hat, table, grid, m_vec):
+    """Oracle: the finite-difference Upsilon, one perturbed model at a time."""
+    n = x.shape[0]
+    d, p0, p1 = theta_hat.d, theta_hat.p0, theta_hat.p1
+    base_delta = serial_delta(theta_hat, x, table, grid, m_vec)
+    ups = np.empty((p1 * d * d, p0 * d * d))
+    for col in range(p0 * d * d):
+        h = n**-0.5
+        for _ in range(11):
+            theta_p = theta_hat.theta.copy()
+            theta_p[col] += h
+            model_p = VarModel(d=d, p0=p0, p1=p1, theta=theta_p)
+            if model_p.is_stationary():
+                break
+            h /= 2.0
+        delta_p = serial_delta(model_p, x, table, grid, m_vec)
+        ups[:, col] = -(delta_p - base_delta) / (h * math.sqrt(n))
+    return ups
+
+
+@pytest.mark.parametrize(
+    "d, n, p0, p1, kind",
+    [
+        (2, 60, 1, 2, "vdw"),
+        (2, 200, 1, 2, "sign"),
+        (2, 90, 2, 3, "spearman"),
+        (3, 60, 1, 2, "spearman"),
+        (3, 120, 1, 3, "vdw"),
+        (3, 80, 2, 3, "sign"),
+    ],
+)
+def test_upsilon_of_test_order_equals_serial_oracle(monkeypatch, d, n, p0, p1, kind):
+    # the batched Delta (couplings warm from the base duals, one operator
+    # stack, one lag-kernel call) gives the serial route's Upsilon, bit for bit
+    rng = np.random.default_rng(10 * d + n + p0)
+    model = VarModel.from_matrices([0.5 * np.eye(d)] + [0.2 * np.eye(d)] * (p0 - 1))
+    x = rv.simulate_var(model, n, rng.standard_normal((n + 200, d)))
+    grid = make_grid(factorize(n, d), d)
+    seen = []
+
+    def recorded(deltas, steps, n_obs):
+        seen.append(_upsilon(deltas, steps, n_obs))
+        return seen[-1]
+
+    monkeypatch.setattr(rank_tests, "_upsilon", recorded)
+    rv.test_order(x, p0, p1, ScoreSpec(kind), grid)
+    table, m_vec = _scores_and_centering(ScoreSpec(kind), grid)
+    oracle = serial_upsilon(x, fit_constrained_ls(x, p0, p1), table, grid, m_vec)
+    assert len(seen) == 1 and np.array_equal(seen[0], oracle)
+
+
+def test_collapsed_upsilon_column_names_its_coordinate(monkeypatch):
+    # zero scores leave Delta unmoved by every perturbation: the error names
+    # the first such coordinate instead of surfacing as a singular Upsilon_11
+    x = np.random.default_rng(21).standard_normal((60, 2))
+    grid = make_grid(factorize(60, 2), 2)
+    monkeypatch.setattr(
+        rank_tests, "grid_scores", lambda spec, which, grid: np.zeros(grid.points.shape)
+    )
+    with pytest.raises(rv.NumericalError, match="coordinate 1 of theta"):
+        rv.test_order(x, 1, 2, ScoreSpec("vdw"), grid)
+
+
+def test_explosive_fit_is_reported_as_non_stationary():
+    # the fitted model itself, not one of its perturbations, is at fault
+    e = np.random.default_rng(0).standard_normal((60, 2))
+    x = np.zeros_like(e)
+    for t in range(60):
+        x[t] = e[t] + (1.05 * x[t - 1] if t else 0.0)
+    grid = make_grid(factorize(60, 2), 2)
+    with pytest.raises(rv.NumericalError, match="model is not stationary"):
+        rv.test_order(x, 1, 2, ScoreSpec("vdw"), grid)
+
+
+@settings(max_examples=60)
+@given(
+    batch=st.integers(1, 6),
+    n=st.integers(2, 60),
+    d=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**31),
+)
+def test_batched_lag_stack_rows_equal_single_rows(batch, n, d, data, seed):
+    # each row of a batch, and each lag below the batch's horizon, is
+    # computed as if alone
+    L = data.draw(st.integers(1, n - 1))
+    short = data.draw(st.integers(1, L))
+    rng = np.random.default_rng(seed)
+    sp = rng.standard_normal((batch, n, d))
+    m_vec = rng.standard_normal(d * d)
+    full = _lag_stacks(sp, m_vec, L)
+    for b in range(batch):
+        assert np.array_equal(full[b], _lag_stacks(sp[b : b + 1], m_vec, L)[0])
+        assert np.array_equal(full[b, : short * d * d], _lag_stacks(sp[b : b + 1], m_vec, short)[0])
 
 
 def test_input_validation():
@@ -255,4 +370,4 @@ def test_non_finite_statistic_is_a_numerical_error(M):
     s[7] = np.nan
     eye = np.eye(4)
     with pytest.raises(rv.NumericalError, match="non-finite statistic"):
-        rv.rank_tests._outcome(s, 0.0, 1, eye, eye, 4, 0.05, {}, M=M, seed=1)
+        rv.rank_tests._outcome(s, 0.0, eye, eye, 4, 0.05, {}, M=M, seed=1)

@@ -483,17 +483,22 @@ def _count_solves(monkeypatch):
     return calls
 
 
-def _full_solves(calls):
+def _full_solves(calls, bases):
     """Number of full n x n solves among the counted ones.
 
-    Each full solve is warm-started by exactly one coarse m x m solve just
-    before it, m = max(n // 4, 1).
+    A base coupling is warm-started by one coarse m x m solve just before
+    its full solve, m = max(n // 4, 1); a perturbed coupling of the
+    finite-difference Upsilon is warm-started from its base's potentials,
+    with no coarse solve.  Asserts that exactly ``bases`` full solves have a
+    coarse solve before them.
     """
-    coarse, full = calls[0::2], calls[1::2]
-    assert len(coarse) == len(full)
-    for (m, m2), (n, n2) in zip(coarse, full):
-        assert m == m2 == max(n // 4, 1) and n == n2
-    return len(full)
+    n = max(rows for rows, _ in calls)
+    m = max(n // 4, 1)
+    assert set(calls) <= {(m, m), (n, n)}
+    coarse = [i for i, shape in enumerate(calls) if shape == (m, m)]
+    assert all(calls[i + 1] == (n, n) for i in coarse)
+    assert len(coarse) == bases
+    return calls.count((n, n))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -514,7 +519,7 @@ def test_identification_solves_each_coupling_once_per_series(monkeypatch):
     for tests in (("vdw",), ("sign_bc",), ("vdw", "sign_bc")):
         calls.clear()
         run_study(_sharing_config("identify", tests=tests))
-        counts[tests] = _full_solves(calls)
+        counts[tests] = _full_solves(calls, bases=4 * 2)
     # each series: order 0 vs 1 (one coupling), order 1 vs 2 (1 + d^2 = 5)
     assert counts[("vdw",)] == counts[("sign_bc",)] == 4 * 6
     assert counts[("vdw", "sign_bc")] == counts[("vdw",)]
@@ -524,7 +529,7 @@ def test_rejection_solves_one_coupling_per_series(monkeypatch):
     calls = _count_solves(monkeypatch)
     cfg = _sharing_config("reject", tests=("sign", "spearman", "vdw"), M=None)
     run_study(cfg)
-    assert _full_solves(calls) == cfg.N * len(cfg.ell)
+    assert _full_solves(calls, bases=cfg.N * len(cfg.ell)) == cfg.N * len(cfg.ell)
 
 
 def test_direct_calls_share_no_coupling(monkeypatch):
@@ -535,13 +540,13 @@ def test_direct_calls_share_no_coupling(monkeypatch):
     grid = make_grid(factorize(80, 2), 2)
     for spec in (ScoreSpec("vdw"), ScoreSpec("sign")):
         rv.test_order(x, 1, 2, spec, grid)
-    assert _full_solves(calls) == 2 * 5
+    assert _full_solves(calls, bases=2) == 2 * 5
     calls.clear()
     steps = [
         len(identify_order(x, spec, max_order=2, grid=grid).steps)
         for spec in (ScoreSpec("vdw"), ScoreSpec("vdw"))
     ]
-    assert steps == [2, 2] and _full_solves(calls) == 2 * 6
+    assert steps == [2, 2] and _full_solves(calls, bases=2 * 2) == 2 * 6
 
 
 def test_no_sharing_scope_outlives_run_study():

@@ -19,9 +19,11 @@ from rankvar import (
     simulate_var,
     solve_coupling,
 )
+from rankvar import transport
 from rankvar.transport import (
     _SHARED,
     _canonicalize_ties,
+    _perturbed_couplings,
     _shared_couplings,
     _sort_tied_residuals,
 )
@@ -289,6 +291,74 @@ def test_warm_start_on_identical_columns_terminates():
     x = np.column_stack([v, v])
     grid = make_grid(factorize(150, 2), 2)
     assert_equal_cost(x, grid, solve_coupling(x, grid).assignment)
+
+
+def perturbed_stack(z, rng, k=4):
+    """k residual arrays as a perturbed VAR parameter gives them: column a
+    shifted by n^{-1/2} times lagged column b."""
+    n, d = z.shape
+    stack = []
+    for _ in range(k):
+        a, b = rng.integers(0, d, size=2)
+        zp = z.copy()
+        zp[1:, a] -= n**-0.5 * z[:-1, b]
+        stack.append(zp)
+    return stack
+
+
+@settings(max_examples=60)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(4, 400),
+    preset=st.sampled_from(["normal", "t3", "mixture", "skewt3"]),
+    log_scale=st.floats(-12, 300),
+    seed=st.integers(0, 2**31),
+)
+def test_base_warmed_couplings_match_cold_oracle(d, n, preset, log_scale, seed):
+    if d == 1 and preset in ("mixture", "skewt3"):
+        preset = "normal"  # both are defined for d = 2 and 3 only
+    z = sample_innovations(innovation_preset(preset, d), n, d, seed) * 10.0**log_scale
+    grid = make_grid(factorize(n, d), d, seed=seed % 97)
+    stack = perturbed_stack(z, np.random.default_rng(seed))
+    base = solve_coupling(z, grid)
+    for zp, c in zip(stack, _perturbed_couplings(stack, grid, base, z)):
+        assert np.array_equal(c.assignment, cold_assignment(zp, grid))
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_base_warmed_couplings_on_rounded_data_are_optimal(trial):
+    rng = np.random.default_rng(80 + trial)
+    d = 1 + trial % 3
+    n = int(rng.integers(20, 300))
+    z = np.round(rng.standard_normal((n, d)) * (1 + trial % 4), trial % 2)
+    grid = make_grid(factorize(n, d), d, seed=trial)
+    stack = [np.round(zp, trial % 2) for zp in perturbed_stack(z, rng)]
+    base = solve_coupling(z, grid)
+    for zp, c in zip(stack, _perturbed_couplings(stack, grid, base, z)):
+        assert np.array_equal(np.sort(c.assignment), np.arange(n))
+        assert_equal_cost(zp, grid, c.assignment)
+
+
+def test_base_potentials_are_recovered_only_on_a_memo_miss(monkeypatch):
+    calls = []
+    recover = transport._column_potentials
+
+    def counted(cost, sigma):
+        calls.append(cost.shape)
+        return recover(cost, sigma)
+
+    monkeypatch.setattr(transport, "_column_potentials", counted)
+    z = np.random.default_rng(3).standard_normal((80, 2))
+    grid = make_grid(factorize(80, 2), 2)
+    stack = perturbed_stack(z, np.random.default_rng(4))
+    with _shared_couplings():
+        base = solve_coupling(z, grid)
+        assert calls == [(20, 20)]  # the coarse warm start of the base
+        first = _perturbed_couplings(stack, grid, base, z)
+        assert calls == [(20, 20), (80, 80)]  # once for the whole stack
+        again = _perturbed_couplings(stack, grid, base, z)
+        assert calls == [(20, 20), (80, 80)]  # every coupling from the memo
+    assert all(a is b for a, b in zip(first, again))
 
 
 def tie_orbit_member(assignment, z, grid, rng):

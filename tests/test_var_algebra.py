@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 from rankvar import (
@@ -13,7 +15,12 @@ from rankvar import (
     unvec,
     vec,
 )
-from rankvar.var_algebra import _d_coefficients, _greens
+from rankvar.var_algebra import (
+    _d_coefficients,
+    _fundamental_rows,
+    _greens,
+    _operator_stack,
+)
 
 
 def kron_loop_operators(model, n, fundamental="identity"):
@@ -266,6 +273,44 @@ def test_near_unit_root_reaches_full_horizon():
         ops = assert_matches_oracle(model, 800, fundamental)
         assert ops.effective_lags == 799
         assert ops.Q.shape[0] == ops.T.shape[1] == 4 * 799
+
+
+@settings(max_examples=40)
+@given(
+    d=st.integers(1, 3),
+    p0=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    size=st.integers(1, 5),
+    full_horizon=st.booleans(),
+    fundamental=st.sampled_from(["identity", "green"]),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_builds_equal_single_builds(d, p0, extra, size, full_horizon, fundamental, seed):
+    # one companion recursion for a stack gives each model's own rows, lag
+    # horizon and operator matrices, bit for bit; with the 0.97 model the
+    # stack mixes the full horizon n - 1 with truncating models
+    rng = np.random.default_rng(seed)
+    p1 = p0 + extra
+    n = 600 if full_horizon else int(rng.integers(p1 + 2, 300))
+    models = [random_stationary(rng, d, p0, p1=p1) for _ in range(size)]
+    if full_horizon:
+        a1 = np.diag(np.linspace(0.97, 0.5, d))
+        slow = VarModel.from_matrices([a1] + [np.zeros((d, d))] * (p0 - 1), p1=p1)
+        models.insert(int(rng.integers(0, size + 1)), slow)
+    d_coeffs = np.stack([np.stack(_d_coefficients(_greens(m, p1), p0)) for m in models])
+    rows, horizons = _fundamental_rows(models, n, d_coeffs, fundamental)
+    for k, model in enumerate(models):
+        alone, (horizon,) = _fundamental_rows([model], n, d_coeffs[k : k + 1], fundamental)
+        length = horizon - (p1 - p0)
+        assert horizons[k] == horizon
+        assert np.array_equal(rows[k, :length], alone[0, :length])
+    if full_horizon:
+        assert horizons.max() == n - 1 > horizons.min()
+    for model, ops in zip(models, _operator_stack(models, n, fundamental)):
+        single = build_operator_matrices(model, n, fundamental=fundamental)
+        assert ops.effective_lags == single.effective_lags
+        for name in ("M", "P", "Q", "T"):
+            assert np.array_equal(getattr(ops, name), getattr(single, name))
 
 
 def test_effective_lags_truncation():
