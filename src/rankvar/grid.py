@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,23 @@ class BallGrid:
     @property
     def n_R(self) -> int:
         return self.factorization.n_R
+
+    @cached_property
+    def _point_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_row_groups` of the gridpoints, which tie canonicalization
+        reads on every coupling."""
+        return _row_groups(self.points)
+
+
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, the index of the first row equal to it (bytewise) and
+    the size of its group of equal rows."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, group, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first[group], counts[group]
 
 
 def factorize(n: int, d: int, override: tuple[int, int, int] | None = None) -> GridFactorization:

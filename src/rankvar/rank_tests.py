@@ -278,7 +278,7 @@ def _outcome(
     L = a.shape[1] // (d * d)
 
     def forms(perms):
-        h = _lag_stacks(s[perms], m_vec, L) @ a.T
+        h = _lag_stacks(np.take(s, perms, axis=0), m_vec, L) @ a.T
         return np.einsum("mi,ij,mj->m", h, k_inv, h)
 
     statistic = float(forms(np.arange(n)[None, :])[0])
@@ -323,9 +323,9 @@ def _deltas(models: list[VarModel], x: np.ndarray, table: np.ndarray, grid: Ball
     couplings = [base, *_perturbed_couplings(zs[1:], grid, base, zs[0])]
     ops = [build_operator_matrices(models[0], n), *_operator_stack(models[1:], n)]
     assignments = np.stack([c.assignment for c in couplings])
-    v = _lag_stacks(table[assignments], m_vec, max(o.effective_lags for o in ops))
+    v = _lag_stacks(np.take(table, assignments, axis=0), m_vec, max(o.effective_lags for o in ops))
     deltas = np.stack([o.T @ row[: o.T.shape[1]] for o, row in zip(ops, v)])
-    return table[base.assignment], ops[0], deltas
+    return np.take(table, base.assignment, axis=0), ops[0], deltas
 
 
 def _scores_and_centering(spec: ScoreSpec, grid: BallGrid):

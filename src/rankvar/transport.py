@@ -18,16 +18,18 @@ potentials v_k from the cost leaves the set of optimal assignments
 unchanged, and the exact solver finishes much sooner when (u, v) are close
 to the optimal duals.  The estimate has one of two sources, and
 row and column minima complete the reduced cost either way.  For
-:func:`solve_coupling` it comes from a coarse problem: a fixed-seed
-subsample of n // 4 residuals against as many gridpoints is solved
-exactly, its column potentials are recovered by Bellman-Ford relaxation and
-interpolated to every gridpoint by inverse distance.  For
-:func:`_perturbed_couplings`, the couplings of residuals near a base
-array whose coupling is known (the finite-difference Upsilon perturbs the
-fitted VAR parameter by n^{-1/2}), it is the base cost's exact column
-potentials, recovered once from the base assignment.  The subsample seed is
-a constant and there is no option: the warm start moves the run time, not
-the result.
+:func:`solve_coupling` it comes from a coarse problem that keeps every
+point: the residuals and the gridpoints are each split by median splits
+into n // 4 groups of four, the groups are coupled exactly under the mean
+cost of their pairs, and that solve's potentials, recovered by
+Bellman-Ford relaxation, reach every gridpoint by the c-transform over the
+residual groups' means.  For :func:`_perturbed_couplings`, the couplings
+of residuals near a base array whose coupling is known (the
+finite-difference Upsilon perturbs the fitted VAR parameter by n^{-1/2}),
+it is the base cost's exact column potentials, recovered once from the
+base assignment and shifted so that the base pairs stay tight.  Neither
+draws a random number, and there is no option: the warm start moves the
+run time, not the result.
 Where the optimal coupling is unique the assignment is the one the full
 cost gives; where several are optimal (tied residual rows, or residuals on
 a mirror axis of the grid) the solver returns one of equal cost, and tie
@@ -47,10 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from ._errors import InputError
-from .grid import BallGrid
+from .grid import BallGrid, _row_groups
 from .var_algebra import _pow2_scaled
 
 __all__ = ["Coupling", "solve_coupling", "coupling_cost"]
@@ -90,17 +91,6 @@ class Coupling:
         return self.assignment.shape[0]
 
 
-def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row, the index of the first row equal to it (bytewise) and
-    the size of its group of equal rows."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, group, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first[group], counts[group]
-
-
 def _canonicalize_ties(assignment: np.ndarray, grid: BallGrid) -> np.ndarray:
     """Make the assignment deterministic across duplicate gridpoints.
 
@@ -109,7 +99,7 @@ def _canonicalize_ties(assignment: np.ndarray, grid: BallGrid) -> np.ndarray:
     the cost; within each duplicate group the earliest observation gets the
     lowest gridpoint index.
     """
-    group, size = _row_groups(grid.points)
+    group, size = grid._point_groups
     tied = size > 1
     if not tied.any():
         return assignment
@@ -138,7 +128,7 @@ def _sort_tied_residuals(assignment: np.ndarray, z: np.ndarray, grid: BallGrid) 
     if not times.size:
         return assignment
     points = assignment[times]
-    lead, _ = _row_groups(grid.points)
+    lead, _ = grid._point_groups
     out = assignment.copy()
     out[times[np.argsort(group[times], kind="stable")]] = points[
         np.lexsort((lead[points], group[times]))
@@ -157,10 +147,6 @@ def _from_assignment(assignment: np.ndarray, grid: BallGrid) -> Coupling:
         a.setflags(write=False)
     return Coupling(*arrays, grid=grid)
 
-
-# Seed of the subsample that warm-starts every solve: a constant, because the
-# subsample moves only the run time.
-_COARSE_SEED = 20200
 
 # (id(grid), residual bytes) -> Coupling within a _shared_couplings scope.  A
 # stored Coupling holds its grid, so no id is reused while the scope is open.
@@ -206,34 +192,59 @@ def _reduce(cost: np.ndarray, v: np.ndarray) -> None:
     cost -= cost.min(axis=0)
 
 
-def _warm_start(cost: np.ndarray, g: np.ndarray) -> None:
+def _groups(x: np.ndarray, m: int) -> np.ndarray:
+    """A permutation of the n rows of x that lists m groups in turn: four
+    rows each, the last taking the other n - 4(m - 1).
+
+    Median splits: a block of k groups splits along its widest coordinate,
+    its 4 * (k // 2) lowest rows (equal values in stable order) forming the
+    first k // 2 groups.  One sort splits every block of a level.
+    """
+    n = x.shape[0]
+    order = np.arange(n)
+    starts, ks = np.zeros(1, dtype=np.intp), np.array([m])
+    while ks.size < m:
+        xs = x[order]
+        spread = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
+        block = np.repeat(np.arange(ks.size), np.diff(starts, append=n))
+        order = order[np.lexsort((xs[np.arange(n), spread.argmax(1)[block]], block))]
+        lo = ks // 2
+        starts = np.column_stack([starts, starts + 4 * lo]).ravel()
+        ks = np.column_stack([lo, ks - lo]).ravel()
+        starts, ks = starts[ks > 0], ks[ks > 0]
+    return order
+
+
+def _warm_start(cost: np.ndarray, z: np.ndarray, g: np.ndarray) -> None:
     """Reduce the n x n cost in place by an estimate of its optimal duals.
 
-    Solves the cost restricted to a fixed-seed subsample of m = n // 4 rows
-    and m gridpoints, interpolates that solution's column potentials to every
-    gridpoint by inverse distance over the min(4, m) nearest subsampled
-    gridpoints, and reduces the cost by them (:func:`_reduce`).
+    The residuals z and, separately, the gridpoints g are split into
+    m = max(n // 4, 1) groups by :func:`_groups`.  The coarse cost of a
+    residual group R against a gridpoint group G is the mean cost of their
+    pairs, the mean over G of |g|^2 - 2 zbar_R'g; it is solved exactly, its
+    column potentials recovered and its row potentials u_R taken as row
+    minima.  Every gridpoint then gets the c-transform over the residual
+    group means, v_k = min_R (|g_k|^2 - 2 zbar_R'g_k - u_R), and the cost
+    is reduced by v (:func:`_reduce`).
     """
     n = cost.shape[0]
     m = max(n // 4, 1)
-    rng = np.random.default_rng(_COARSE_SEED)
-    rows = rng.choice(n, m, replace=False)
-    cols = rng.choice(n, m, replace=False)
-    coarse = cost[np.ix_(rows, cols)]
+    starts = 4 * np.arange(m)
+    sizes = np.diff(starts, append=n)
+    means = np.add.reduceat(z[_groups(z, m)], starts) / sizes[:, None]
+    # The cost of every gridpoint against every residual group's mean.
+    near = (g * g).sum(1) - 2.0 * (means @ g.T)
+    coarse = np.add.reduceat(near[:, _groups(g, m)], starts, axis=1) / sizes
     _, sigma = linear_sum_assignment(coarse)
     v = _column_potentials(coarse, sigma)
-    dist, near = cKDTree(g[cols]).query(g, k=min(4, m))
-    dist, near = dist.reshape(n, -1), near.reshape(n, -1)  # 1-d when m = 1
-    with np.errstate(divide="ignore"):
-        w = 1.0 / dist
-    hit = np.isinf(w).any(axis=1)  # on a subsampled gridpoint: take its potential
-    w[hit] = np.isinf(w[hit])
-    _reduce(cost, (w * v[near]).sum(1) / w.sum(1))
+    u = (coarse - v).min(axis=1)
+    _reduce(cost, (near - u[:, None]).min(axis=0))
 
 
 def _cost(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The n x n cost |g_k|^2 - 2 Z_t'g_k, residuals brought to a standard scale."""
-    cost = _pow2_scaled(z) @ g.T
+    """The n x n cost |g_k|^2 - 2 z_t'g_k of residuals z already brought to a
+    standard scale by :func:`_pow2_scaled`."""
+    cost = z @ g.T
     cost *= -2.0
     cost += (g * g).sum(1)
     return cost
@@ -242,7 +253,8 @@ def _cost(z: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
     """The coupling of one residual array: validation, the
     :func:`_shared_couplings` memo, the cost reduced in place by
-    ``warm(cost, gridpoints)``, the exact solve and tie canonicalization."""
+    ``warm(cost, scaled residuals, gridpoints)``, the exact solve and tie
+    canonicalization."""
     z = np.asarray(residuals, dtype=float)
     if z.ndim != 2:
         raise TransportError(f"residuals must be 2-d, got shape {z.shape}")
@@ -258,8 +270,9 @@ def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
         key = (id(grid), z.tobytes())
         if key in shared:
             return shared[key]
-    cost = _cost(z, grid.points)
-    warm(cost, grid.points)
+    scaled = _pow2_scaled(z)
+    cost = _cost(scaled, grid.points)
+    warm(cost, scaled, grid.points)
     rows, cols = linear_sum_assignment(cost)
     assignment = np.empty(n, dtype=int)
     assignment[rows] = cols
@@ -274,8 +287,9 @@ def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
     """Optimal L2 coupling of residuals onto the grid.
 
     Solves the linear sum assignment problem on the n x n squared-distance
-    cost, less its row term, with an exact solver warm-started from a coarse
-    subsample's dual potentials (see the module docstring), then derives
+    cost, less its row term, with an exact solver warm-started from the dual
+    potentials of a coarse problem over groups of four residuals and four
+    gridpoints (see the module docstring), then derives
     ranks and signs from the assigned gridpoints.  The result does not
     depend on the scale of the residuals.
 
@@ -292,19 +306,23 @@ def _perturbed_couplings(stack, grid: BallGrid, base: Coupling, base_residuals) 
     """Optimal couplings of residual arrays near ``base_residuals``, whose
     coupling is ``base``.
 
-    Each cost is reduced by the base cost's exact column potentials, which
-    :func:`_column_potentials` recovers from the base assignment once per
-    call, and only when some array of the stack misses the
-    :func:`_shared_couplings` memo.  The potentials move only the run time.
+    Each cost is reduced by the base cost's exact column potentials, each
+    column shifted by its base pair's cost change, so that every pair of the
+    base assignment stays tight.  :func:`_column_potentials` recovers the
+    potentials from the base assignment once per call, and only when some
+    array of the stack misses the :func:`_shared_couplings` memo.  The
+    potentials move only the run time.
     """
-    potentials = None
+    cols = np.arange(grid.n)
+    inv = np.argsort(base.assignment)  # the time assigned each gridpoint
+    shift = None  # base potentials less the cost of each column's base pair
 
-    def warm(cost, g):
-        nonlocal potentials
-        if potentials is None:
-            base_cost = _cost(np.asarray(base_residuals, dtype=float), g)
-            potentials = _column_potentials(base_cost, base.assignment)
-        _reduce(cost, potentials)
+    def warm(cost, z, g):
+        nonlocal shift
+        if shift is None:
+            base_cost = _cost(_pow2_scaled(np.asarray(base_residuals, dtype=float)), g)
+            shift = _column_potentials(base_cost, base.assignment) - base_cost[inv, cols]
+        _reduce(cost, shift + cost[inv, cols])
 
     return [_couple(z, grid, warm) for z in stack]
 

@@ -23,6 +23,7 @@ from rankvar import transport
 from rankvar.transport import (
     _SHARED,
     _canonicalize_ties,
+    _groups,
     _perturbed_couplings,
     _shared_couplings,
     _sort_tied_residuals,
@@ -260,13 +261,47 @@ def test_warm_start_matches_cold_oracle_large(n, d, preset, seed):
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_warm_start_from_a_single_coarse_point(n, d):
-    # m = n // 4 = 1: one coarse gridpoint, one potential, k = 1 neighbour
+    # m = n // 4 = 1: one group holds every residual, one every gridpoint
     for trial in range(10):
         z = np.random.default_rng(trial).standard_normal((n, d))
         grid = make_grid(factorize(n, d), d, seed=trial)
         c = solve_coupling(z, grid)
         assert np.array_equal(c.assignment, cold_assignment(z, grid))
         assert np.isclose(coupling_cost(c, z), brute_force_cost(z, grid), atol=1e-10)
+
+
+def recursive_groups(x, rows, k):
+    """Oracle: the median splits of :func:`_groups`, one block at a time."""
+    if k == 1:
+        return [np.sort(rows)]
+    axis = np.ptp(x[rows], axis=0).argmax()
+    rows = rows[np.argsort(x[rows, axis], kind="stable")]
+    half = 4 * (k // 2)
+    return recursive_groups(x, rows[:half], k // 2) + recursive_groups(x, rows[half:], k - k // 2)
+
+
+@settings(max_examples=100)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(1, 600),
+    rows=st.sampled_from(["distinct", "duplicated", "equal"]),
+    seed=st.integers(0, 2**31),
+)
+def test_groups_are_fours_and_one_remainder(d, n, rows, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    if rows == "duplicated":
+        x = x[rng.integers(0, max(n // 3, 1), n)]
+    elif rows == "equal":
+        x[:] = x[0]
+    m = max(n // 4, 1)
+    order = _groups(x, m)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    groups = [order[4 * j : 4 * j + 4] for j in range(m - 1)] + [order[4 * (m - 1) :]]
+    assert [len(g) for g in groups] == [4] * (m - 1) + [n - 4 * (m - 1)]
+    oracle = recursive_groups(x, np.arange(n), m)
+    assert all(np.array_equal(np.sort(g), o) for g, o in zip(groups, oracle))
+    assert np.array_equal(_groups(x.copy(), m), order)
 
 
 @pytest.mark.parametrize("trial", range(12))
