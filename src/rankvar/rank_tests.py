@@ -316,9 +316,17 @@ def _deltas(models: list[VarModel], x: np.ndarray, table: np.ndarray, grid: Ball
     cross-covariances of every model at the largest lag horizon, and each
     Delta reads only its own model's horizon.  Delta is the map whose local
     slope in theta is -Upsilon.
+
+    Base residuals that are all equal from row p0 on (a constant series
+    gives that under any model) raise :class:`InputError`: with every row
+    tied, the coupling hands the gridpoints out in time order, which
+    manufactures serial dependence.
     """
     n = x.shape[0]
     zs = [residuals(x, model) for model in models]
+    tail = zs[0][models[0].p0:]
+    if np.all(tail == tail[0]):
+        raise InputError(f"residual rows {models[0].p0 + 1}..{n} are all equal (constant series?)")
     base = solve_coupling(zs[0], grid)
     couplings = [base, *_perturbed_couplings(zs[1:], grid, base, zs[0])]
     ops = [build_operator_matrices(models[0], n), *_operator_stack(models[1:], n)]

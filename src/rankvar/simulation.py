@@ -50,6 +50,13 @@ _STREAM_IDS = {
     ("sign", "sphere"): 4,
 }
 
+# Every valid test name: (score, grid kind, permutational?).
+_TESTS = {"gaussian": ("gaussian", "ball", False)} | {
+    (score if kind == "ball" else f"{score}_{kind}") + suffix: (score, kind, perm)
+    for score, kind in _STREAM_IDS
+    for suffix, perm in (("", False), ("_bc", True))
+}
+
 
 def _spd_check(sigma: np.ndarray, what: str) -> np.ndarray:
     """Symmetrize via (S + S')/2 and require positive definiteness."""
@@ -319,22 +326,10 @@ class StudyConfig:
 
 def _split_test_name(name: str) -> tuple[str, str, bool]:
     """(score, grid kind, permutational?) from a test name."""
-    base = name
-    perm = base.endswith("_bc")
-    if perm:
-        base = base[: -len("_bc")]
-    sphere = base.endswith("_sphere")
-    if sphere:
-        base = base[: -len("_sphere")]
-    if base == "gaussian":
-        if perm or sphere:
-            raise InputError(f"no such test variant: {name!r}")
-        return "gaussian", "ball", False
-    if base not in ("sign", "spearman", "vdw"):
-        raise InputError(f"unknown test {name!r}")
-    if sphere and base != "sign":
-        raise InputError(f"sphere-grid variant exists only for the sign score, not {name!r}")
-    return base, ("sphere" if sphere else "ball"), perm
+    try:
+        return _TESTS[name]
+    except KeyError:
+        raise InputError(f"unknown test {name!r}; valid tests: {', '.join(_TESTS)}") from None
 
 
 _CONFIG_KEYS = {
@@ -688,14 +683,13 @@ def run_study(config: StudyConfig) -> StudyReport:
             ):
                 all_records.extend(chunk)
 
-    cells: dict = {
-        test: {idx: None for idx in range(len(config.ell))} for test in config.tests
-    }
+    by_cell: dict = {}
+    for test, idx, value in all_records:
+        by_cell.setdefault((test, idx), []).append(value)
+    cells: dict = {test: {} for test in config.tests}
     for test in config.tests:
         for idx in range(len(config.ell)):
-            values = [
-                v for (t, i, v) in all_records if t == test and i == idx
-            ]
+            values = by_cell[test, idx]
             failures = sum(1 for v in values if v is None)
             good = [v for v in values if v is not None]
             if config.task == "reject":

@@ -2,15 +2,18 @@
 
 A model is parametrized by theta = (vec A_1', ..., vec A_p1')' with
 column-major vec.  Null models of order p0 < p1 carry trailing zero blocks.
-The operator matrices M, P, Q and T = M'P'Q' translate the d^2 p1 central
+The operator matrices M, Q and T = M'Q' translate the d^2 p1 central
 sequence into the span of the lagged cross-covariances up to the lag
 horizon, which they alone decide; they are built from the Green matrices of
-the autoregressive operator A(L) and of its right inverse D(L).  They are
-built for a stack of models at once (a single model is the stack of one):
-the D(L) recursion runs in companion form, one batched (d x d p0)(d p0 x
-d p0) product per lag for the whole stack, each model with its own lag
-horizon, and the Kronecker expansions kron(B, I_d) behind M and Q are each
-one broadcast over all blocks.
+the autoregressive operator A(L) and from one fundamental system of the
+recursion of its right inverse D(L), the one whose initial window is the
+identity.  T does not depend on that choice (the paper's P undoes any other
+system's Casorati matrix), so P is the identity.  The matrices are built
+for a stack of models at once (a single model is the stack of one): the
+D(L) recursion runs in companion form, one batched (d x d p0)(d p0 x d p0)
+product per lag for the whole stack, each model with its own lag horizon,
+and the Kronecker expansions kron(B, I_d) behind M and Q are each one
+broadcast over all blocks.
 """
 
 from __future__ import annotations
@@ -138,8 +141,8 @@ class VarModel:
             comp[d:, :-d] = np.eye(d * (p - 1))
         return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
-    def is_stationary(self, tol: float = 1e-10) -> bool:
-        return self.spectral_radius() < 1.0 - tol
+    def is_stationary(self) -> bool:
+        return self.spectral_radius() < 1.0 - 1e-10
 
 
 def _require_stationary(model: VarModel) -> None:
@@ -315,13 +318,15 @@ class OperatorMatrices:
         Block lower-triangular Kronecker expansion of the Green matrices,
         block (r, c) = kron(G_{r-c}', I_d) for r >= c; full rank.
     P : (d^2 p1, d^2 p1) array
-        Inverse-Casorati block; the identity for the default fundamental
-        system.
+        The identity: Q's fundamental system starts from the identity
+        window, so its Casorati matrix is I.  It is kept only because
+        ``bench/spans.py`` reads its size, and goes together with M once
+        that file stops reading them.
     Q : (d^2 L, d^2 p1) array, L = ``effective_lags``
         Identity block of size d^2 (p1 - p0) on top, the Kronecker-expanded
         fundamental solutions below.
     T : (d^2 p1, d^2 L) array
-        M' P' Q'.
+        M' Q'.
     effective_lags : int
         The lag horizon L: the largest lag i with a nonzero block row Q_i.
         Q and T stop there, since every later block row is zero.
@@ -385,38 +390,27 @@ def _fundamental_rows(
     models: list[VarModel],
     n: int,
     d_coeffs: np.ndarray,
-    fundamental: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows [psi_t^{(1)} ... psi_t^{(p0)}] of the fundamental systems of a
     stack of models that share (d, p0, p1).
 
     Rows are indexed t = p1 - p0 + 1, ... and returned as an (S, rows, d,
     d p0) array, with ``d_coeffs`` the (S, p0, d, d) coefficients D_1..D_p0
-    of each model.  The initial window of p0 rows is either the identity
-    basis (Casorati matrix = I) or the Green matrices of D(L).  Later rows
-    follow psi_t = -sum_i D_i psi_{t-i} in companion form: the p0 preceding
-    rows, stacked, are one (d p0 x d p0) matrix, and each new row is the
-    single product [-D_p0 ... -D_1] times it, one batched product per lag
-    for the whole stack.  A model's extension stops once p0 consecutive rows
-    fall below 1e-12 in max norm (all later rows are then negligible) or at
-    t = n - 1, and its trailing rows below that bound are dropped: model s
-    keeps rows[s, :length[s]], its lag horizon is (p1 - p0) + length[s], and
-    the second return value holds those horizons.
+    of each model.  The initial window of p0 rows is the identity basis
+    (Casorati matrix = I).  Later rows follow psi_t = -sum_i D_i psi_{t-i}
+    in companion form: the p0 preceding rows, stacked, are one (d p0 x d p0)
+    matrix, and each new row is the single product [-D_p0 ... -D_1] times
+    it, one batched product per lag for the whole stack.  A model's
+    extension stops once p0 consecutive rows fall below 1e-12 in max norm
+    (all later rows are then negligible) or at t = n - 1, and its trailing
+    rows below that bound are dropped: model s keeps rows[s, :length[s]],
+    its lag horizon is (p1 - p0) + length[s], and the second return value
+    holds those horizons.
     """
     d, p0, p1 = models[0].d, models[0].p0, models[0].p1
     dp, stack = d * p0, len(models)
     rows = np.empty((stack, n - 1 - (p1 - p0), d, dp))
-    if fundamental == "identity":
-        rows[:, :p0] = np.eye(dp).reshape(p0, d, dp)
-    else:
-        # H_0 = I, H_u = -sum_i D_i H_{u-i}: Green matrices of D(L).
-        h = np.zeros((stack, p0, d, d))
-        h[:, 0] = np.eye(d)
-        for u in range(1, p0):
-            for i in range(1, u + 1):
-                h[:, u] -= d_coeffs[:, i - 1] @ h[:, u - i]
-        rows[:, :p0] = _lower_block_toeplitz(h).reshape(stack, p0, d, dp)
-
+    rows[:, :p0] = np.eye(dp).reshape(p0, d, dp)
     step = -d_coeffs[:, ::-1].transpose(0, 2, 1, 3).reshape(stack, d, dp)
     flat = rows.reshape(stack, -1, dp)  # row k is flat[:, k d:(k + 1) d]
     small = np.zeros((stack, rows.shape[1]), dtype=bool)
@@ -438,16 +432,12 @@ def _fundamental_rows(
     return rows, (p1 - p0) + length
 
 
-def _operator_stack(
-    models: list[VarModel],
-    n: int,
-    fundamental: str = "identity",
-) -> list[OperatorMatrices]:
+def _operator_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
     """:class:`OperatorMatrices` of every model of a stack that shares (d, p0,
     p1), with one companion recursion for the whole stack.
 
-    The callers check p1, n and ``fundamental``; each model must be
-    stationary.  See :func:`build_operator_matrices`.
+    The callers check p1 and n; each model must be stationary.  See
+    :func:`build_operator_matrices`.
     """
     if not models:
         return []
@@ -461,7 +451,7 @@ def _operator_stack(
     head = d2 * (p1 - p0)
     if p0 > 0:
         d_coeffs = np.stack([np.stack(_d_coefficients(g, p0)) for g in greens])
-        rows, horizons = _fundamental_rows(models, n, d_coeffs, fundamental)
+        rows, horizons = _fundamental_rows(models, n, d_coeffs)
     else:
         horizons = np.full(len(models), p1)
     out = []
@@ -473,30 +463,22 @@ def _operator_stack(
         q[:head, :head] = np.eye(head)
         if p0 > 0:
             # Block row t = p1 - p0 + 1 + k of Q is kron(rows[s, k], I_d).
-            expanded = _kron_eye(rows[s, : effective - (p1 - p0)], d).reshape(-1, d2 * p0)
-            if fundamental != "identity":
-                # Casorati matrix at horizon p1: rows t = p1-p0+1 .. p1.
-                p_mat[head:, head:] = np.linalg.inv(expanded[: d2 * p0])
-            q[head:, head:] = expanded
-        t_mat = ms[s].T @ p_mat.T @ q.T
+            q[head:, head:] = _kron_eye(rows[s, : effective - (p1 - p0)], d).reshape(-1, d2 * p0)
+        t_mat = ms[s].T @ q.T
         out.append(OperatorMatrices(M=ms[s], P=p_mat, Q=q, T=t_mat, effective_lags=effective))
     return out
 
 
-def build_operator_matrices(
-    model: VarModel,
-    n: int,
-    fundamental: str = "identity",
-) -> OperatorMatrices:
-    """Assemble M, P, Q and T = M'P'Q' for a stationary null model.
+def build_operator_matrices(model: VarModel, n: int) -> OperatorMatrices:
+    """Assemble M, Q and T = M'Q' for a stationary null model.
 
     M is the Kronecker-expanded block triangular matrix of the Green
     matrices of A(L).  Q stacks an identity block of size d^2 (p1 - p0)
     over the Kronecker-expanded fundamental solutions of the D(L)
-    recursion, up to the lag horizon ``effective_lags``; P undoes the
-    Casorati matrix of the chosen fundamental system at horizon p1.  The
-    product T is invariant to that choice; the default identity window
-    makes P = I.
+    recursion, up to the lag horizon ``effective_lags``.  The fundamental
+    system is the one whose initial window is the identity, so its
+    Casorati matrix is I and P = I; T would be the same under any other
+    system.
 
     Parameters
     ----------
@@ -504,14 +486,9 @@ def build_operator_matrices(
         Stationary null model (blocks beyond p0 zero).
     n : int
         Sample size; must exceed p1 + 1.
-    fundamental : {"identity", "green"}
-        Initial window of the fundamental system.  "green" exists to
-        exercise the invariance of T and has no practical advantage.
     """
     if model.p1 < 1:
         raise InputError("need p1 >= 1 to build operator matrices")
     if n <= model.p1 + 1:
         raise InputError(f"need n > p1 + 1 = {model.p1 + 1}, got n={n}")
-    if fundamental not in ("identity", "green"):
-        raise InputError(f"unknown fundamental system {fundamental!r}")
-    return _operator_stack([model], n, fundamental)[0]
+    return _operator_stack([model], n)[0]

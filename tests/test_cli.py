@@ -328,6 +328,26 @@ def test_order_collinear_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in stderr
 
 
+def test_order_constant_series_is_input_error(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    write_series(path, np.full((60, 2), 7.5))
+    code, stdout, stderr = run_cli(capsys, "test-order", "--data", str(path),
+                                   "--p0", "0", "--p1", "1", "--score", "vdw",
+                                   "--seed", "1")
+    assert code == 2 and stdout == ""
+    assert "all equal" in stderr
+
+
+def test_ranks_accepts_constant_series(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    write_series(path, np.zeros((60, 2)))
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "ranks", "--data", str(path), "--seed", "1",
+                         "--out", str(out))
+    assert code == 0
+    assert len(json.loads(out.read_text())["observations"]) == 60
+
+
 @pytest.mark.parametrize("p0", ["0", "1"])
 def test_order_overflow_scale_data_matches_unscaled(tmp_path, capsys, p0):
     # squared distances at 1e160 overflow, and at 5e307 so does the fit's

@@ -337,6 +337,48 @@ def test_input_validation():
         rv.test_order(x, 2, 2, spec, grid)
 
 
+@pytest.mark.parametrize("kind", ["sign", "spearman", "vdw"])
+@pytest.mark.parametrize("value", [0.0, 7.5])
+def test_constant_series_is_an_input_error(value, kind):
+    # every residual row tied: the coupling would hand the gridpoints out in
+    # time order, one ray at a time, and the test would reject white noise
+    x = np.full((60, 2), value)
+    grid = make_grid(factorize(60, 2), 2)
+    spec = ScoreSpec(kind)
+    theta0 = VarModel.from_matrices([np.array([[0.5, 0.1], [0.0, 0.4]])])
+    with pytest.raises(InputError, match="all equal"):
+        rv.test_order(x, 0, 1, spec, grid, M=19, seed=1)
+    with pytest.raises(InputError, match="all equal"):
+        rv.test_specified(x, theta0, spec, grid)
+    # the coupling itself stays valid on constant data
+    assignment = solve_coupling(x, grid).assignment
+    assert np.array_equal(np.sort(assignment), np.arange(60))
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(20, 60),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["sign", "spearman", "vdw"]),
+    p0=st.sampled_from([0, 1]),
+    M=st.integers(1, 39),
+    alpha=st.floats(0.01, 0.99),
+    rounded=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_permutational_calibration_is_exact(n, d, kind, p0, M, alpha, rounded, seed):
+    # p = (1 + #{permuted >= observed}) / (M + 1), and the decision is p <= alpha
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    if rounded:
+        x = np.round(x)
+    grid = make_grid(factorize(n, d), d)
+    out = rv.test_order(x, p0, p0 + 1, ScoreSpec(kind), grid, alpha=alpha, M=M, seed=seed)
+    count = round(out.p_permutational * (M + 1))
+    assert out.p_permutational == count / (M + 1) and 1 <= count <= M + 1
+    assert out.reject == (out.p_permutational <= alpha)
+
+
 def test_outcome_consistency_enforced():
     with pytest.raises(InputError):
         rv.TestOutcome(

@@ -349,6 +349,16 @@ def test_study_config_validation():
     StudyConfig(**{**good, "tests": ("sign_sphere", "sign_sphere_bc")})
 
 
+def test_unknown_study_test_lists_the_nine_valid_names():
+    good = dict(d=2, p=1, theta=np.full(4, 0.1), innovations=InnovationModel.gaussian(2))
+    valid = (
+        "gaussian, sign, sign_bc, spearman, spearman_bc, vdw, vdw_bc, "
+        "sign_sphere, sign_sphere_bc"
+    )
+    with pytest.raises(InputError, match=f"unknown test 'vdw_sphere'; valid tests: {valid}$"):
+        StudyConfig(**{**good, "tests": ("sign", "vdw_sphere")})
+
+
 # ------------------------------------------------------------ study engine
 
 
