@@ -25,7 +25,14 @@ from __future__ import annotations
 import numpy as np
 
 from ._errors import InputError, NumericalError
-from .rank_tests import TestOutcome, _block_gram, _meta, _outcome, _solve_spd
+from .rank_tests import (
+    TestOutcome,
+    _block_gram,
+    _meta,
+    _outcome,
+    _require_varying,
+    _solve_spd,
+)
 from .var_algebra import (
     VarModel,
     _pow2_normalized,
@@ -84,6 +91,8 @@ def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOut
     Q, and S_N = H'(Q'Q)^{-1}H formed.  Either way the limit is
     chi-square with d^2 p1 degrees of freedom; finite fourth moments are
     needed for the size to hold, and there is no permutational variant.
+    Residuals that are all equal from row p0 on (a constant series) raise
+    :class:`InputError`, as in the rank tests.
     """
     x = _validate_series(x)
     n, d = x.shape
@@ -97,11 +106,14 @@ def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOut
 
     if not theta0.theta.any():
         # S_N(0) = W_N(0) = v'(I_{p1} kron L)^{-1} v on the centered data.
+        _require_varying(x, theta0.p0)
         z = _center(x)
         a = np.eye(theta0.p1 * d * d)
         k_inv = np.kron(np.eye(theta0.p1), _solve_spd(_lag1_moment(z), "L"))
     else:
-        z = _whiten(residuals(x, theta0))
+        z = residuals(x, theta0)
+        _require_varying(z, theta0.p0)
+        z = _whiten(z)
         ops = build_operator_matrices(theta0, n)
         a = ops.Q.T
         k_inv = _solve_spd(a @ a.T, "Q'Q")

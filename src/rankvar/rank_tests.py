@@ -16,6 +16,15 @@ assignment (the identity permutation) and for permuted ones alike;
 builds its A and K, from operator matrices that already stop at the lag
 horizon.
 
+The permutations depend only on (n, M, seed), not on the data, so a
+permutational test starts drawing them on one worker thread as soon as it
+knows it needs them (:func:`_permutations`): the first chunk is drawn
+while the test fits and couples, each later one while :func:`_outcome`
+evaluates the chunk before it.  Only the worker advances the one seeded
+generator, in order, so every permutation and p-value is the one an
+inline draw gives.  The worker lives for one test call and is joined
+before the test returns or raises.
+
 The order test removes the estimation effect with a finite-difference
 cross-information Upsilon, which needs the central sequence Delta at the
 fitted parameter and at its p0 d^2 perturbations.  :func:`_deltas`
@@ -30,6 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +174,11 @@ def _block_gram(a: np.ndarray, cov: np.ndarray) -> np.ndarray:
 def _iter_perm_chunks(n: int, M: int | None, seed: int, exhaustive: bool):
     """Yield (B, n) permutation arrays, chunked.
 
-    Random permutations come from the seeded stream; exhaustive enumeration
-    walks all n! permutations (n <= 8).
+    Random permutations come from the seeded stream, each chunk shuffled
+    row by row in place; exhaustive enumeration walks all n! permutations
+    (n <= 8).  A rank test advances this generator on a worker thread
+    (:func:`_permutations`), one chunk at a time and in order, so the
+    stream and every permutation are the same as when it runs inline.
     """
     if exhaustive:
         it = itertools.permutations(range(n))
@@ -179,7 +193,9 @@ def _iter_perm_chunks(n: int, M: int | None, seed: int, exhaustive: bool):
         base = np.arange(n)
         while remaining > 0:
             size = min(_PERM_CHUNK, remaining)
-            yield rng.permuted(np.tile(base, (size, 1)), axis=1)
+            chunk = np.tile(base, (size, 1))
+            rng.permuted(chunk, axis=1, out=chunk)
+            yield chunk
             remaining -= size
 
 
@@ -244,35 +260,56 @@ def _validate_inputs(x, grid: BallGrid, alpha: float) -> np.ndarray:
     return x
 
 
-def _perm_count_and_seed(n, M, seed, exhaustive):
+@contextmanager
+def _permutations(n, M, seed, exhaustive):
+    """The permutation count, seed and chunks of a rank test.
+
+    Yields (M, seed, chunks), all None for asymptotic calibration.  One
+    worker thread draws the chunks of :func:`_iter_perm_chunks` ahead: the
+    first from the moment the test enters this context, each later one
+    while the caller evaluates the chunk before it.  Only the worker
+    advances the generator, in order.  It is joined when the context
+    exits, on return or raise.
+    """
     if exhaustive:
         if n > _EXHAUSTIVE_LIMIT:
             raise InputError(
                 f"exhaustive calibration enumerates n! permutations; n={n} > "
                 f"{_EXHAUSTIVE_LIMIT}"
             )
-        return math.factorial(n), 0
-    if M is None:
-        return None, None
-    if M < 1:
+        M, seed = math.factorial(n), 0
+    elif M is None:
+        yield None, None, None
+        return
+    elif M < 1:
         raise InputError(f"need a positive permutation count, got {M}")
-    return M, fresh_seed() if seed is None else seed
+    elif seed is None:
+        seed = fresh_seed()
+    chunks = _iter_perm_chunks(n, M, seed, exhaustive)
+    with ThreadPoolExecutor(1) as pool:
+
+        def drawn(ahead):
+            while (chunk := ahead.result()) is not None:
+                ahead = pool.submit(next, chunks, None)
+                yield chunk
+
+        yield M, seed, drawn(pool.submit(next, chunks, None))
 
 
 def _meta(score: str, n: int, d: int, p0: int, p1: int, M=None, seed=None) -> dict:
     return {"score": score, "n": n, "d": d, "p0": p0, "p1": p1, "M": M, "seed": seed}
 
 
-def _outcome(
-    s, m_vec, a, k_inv, df, alpha, meta, M=None, seed=None, exhaustive=False
-) -> TestOutcome:
+def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
     """Evaluate h' K^{-1} h, h = A v, and calibrate it.
 
     The lag horizon is the width of A in d^2 blocks.  The observed
-    statistic is the identity permutation's value; with ``M`` (or
-    ``exhaustive``) the same kernel evaluates the permuted assignments and
-    the test is calibrated on them, otherwise on the chi-square(df) limit.
-    A non-finite statistic raises :class:`NumericalError`.
+    statistic is the identity permutation's value; with ``perms``, an
+    iterable of (B, n) permutation chunks (see :func:`_permutations`, whose
+    worker draws the next chunk while this evaluates the current one), the
+    same kernel evaluates the permuted assignments and the test is
+    calibrated on them, otherwise on the chi-square(df) limit.  A
+    non-finite statistic raises :class:`NumericalError`.
     """
     n, d = s.shape
     L = a.shape[1] // (d * d)
@@ -285,12 +322,10 @@ def _outcome(
     if not np.isfinite(statistic):
         raise NumericalError(f"non-finite statistic {statistic}")
     p_asym = float(chisq_sf(statistic, df))
-    if M is None:
+    if perms is None:
         p_perm, cv = None, float(chisq_quantile(df, 1.0 - alpha))
     else:
-        stats = np.concatenate(
-            [forms(perms) for perms in _iter_perm_chunks(n, M, seed, exhaustive)]
-        )
+        stats = np.concatenate([forms(chunk) for chunk in perms])
         p_perm, cv = _permutation_calibration(stats, statistic, alpha)
     return TestOutcome(
         statistic=statistic,
@@ -301,6 +336,15 @@ def _outcome(
         reject=statistic > cv,
         meta=meta,
     )
+
+
+def _require_varying(z: np.ndarray, p0: int) -> None:
+    """Raise :class:`InputError` when the residual rows from row p0 on are
+    all equal, as a constant series gives under any model.  No test, rank
+    or Gaussian, has a null distribution to calibrate on such residuals."""
+    tail = z[p0:]
+    if np.all(tail == tail[0]):
+        raise InputError(f"residual rows {p0 + 1}..{z.shape[0]} are all equal (constant series?)")
 
 
 def _deltas(models: list[VarModel], x: np.ndarray, table: np.ndarray, grid: BallGrid, m_vec):
@@ -317,16 +361,14 @@ def _deltas(models: list[VarModel], x: np.ndarray, table: np.ndarray, grid: Ball
     Delta reads only its own model's horizon.  Delta is the map whose local
     slope in theta is -Upsilon.
 
-    Base residuals that are all equal from row p0 on (a constant series
-    gives that under any model) raise :class:`InputError`: with every row
-    tied, the coupling hands the gridpoints out in time order, which
+    Base residuals that are all equal from row p0 on raise
+    :class:`InputError` (:func:`_require_varying`): with every row tied,
+    the coupling hands the gridpoints out in time order, which
     manufactures serial dependence.
     """
     n = x.shape[0]
     zs = [residuals(x, model) for model in models]
-    tail = zs[0][models[0].p0:]
-    if np.all(tail == tail[0]):
-        raise InputError(f"residual rows {models[0].p0 + 1}..{n} are all equal (constant series?)")
+    _require_varying(zs[0], models[0].p0)
     base = solve_coupling(zs[0], grid)
     couplings = [base, *_perturbed_couplings(zs[1:], grid, base, zs[0])]
     ops = [build_operator_matrices(models[0], n), *_operator_stack(models[1:], n)]
@@ -364,16 +406,13 @@ def test_specified(
     n, d = x.shape
     if theta0.d != d:
         raise InputError(f"theta0 has d={theta0.d}, series has d={d}")
-    M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
-
-    table, m_vec = _scores_and_centering(spec, grid)
-    s, ops, _ = _deltas([theta0], x, table, grid, m_vec)
-    a = ops.Q.T
-    k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
-    meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M_eff, seed)
-    return _outcome(
-        s, m_vec, a, k_inv, d * d * theta0.p1, alpha, meta, M_eff, seed, exhaustive
-    )
+    with _permutations(n, M, seed, exhaustive) as (M_eff, seed, perms):
+        table, m_vec = _scores_and_centering(spec, grid)
+        s, ops, _ = _deltas([theta0], x, table, grid, m_vec)
+        a = ops.Q.T
+        k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
+        meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M_eff, seed)
+        return _outcome(s, m_vec, a, k_inv, d * d * theta0.p1, alpha, meta, perms)
 
 
 def _perturbations(theta_hat: VarModel, n: int) -> tuple[list[VarModel], np.ndarray]:
@@ -459,31 +498,29 @@ def test_order(
             x, null, spec, grid, alpha=alpha, M=M, seed=seed, exhaustive=exhaustive
         )
 
-    M_eff, seed = _perm_count_and_seed(n, M, seed, exhaustive)
-    theta_hat = fit_constrained_ls(x, p0, p1)
-    table, m_vec = _scores_and_centering(spec, grid)
-    models, steps = _perturbations(theta_hat, n)
-    s, ops, deltas = _deltas([theta_hat, *models], x, table, grid, m_vec)
-    ups = _upsilon(deltas, steps, n)
-    d2 = d * d
-    k = d2 * p0
-    # Upsilon_11 is only symmetric in the limit; invert it as-is, with the
-    # trace ridge, solving from the right for B = Upsilon_21 Upsilon_11^{-1}.
-    u11 = ups[:k] + 1e-10 * abs(np.trace(ups[:k])) * np.eye(k)
-    try:
-        bmat = np.linalg.solve(u11.T, ups[k:].T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular Upsilon_11") from exc
-    if not np.all(np.isfinite(bmat)) or np.linalg.cond(u11) > 1e12:
-        raise NumericalError("ill-conditioned Upsilon_11")
+    with _permutations(n, M, seed, exhaustive) as (M_eff, seed, perms):
+        theta_hat = fit_constrained_ls(x, p0, p1)
+        table, m_vec = _scores_and_centering(spec, grid)
+        models, steps = _perturbations(theta_hat, n)
+        s, ops, deltas = _deltas([theta_hat, *models], x, table, grid, m_vec)
+        ups = _upsilon(deltas, steps, n)
+        d2 = d * d
+        k = d2 * p0
+        # Upsilon_11 is only symmetric in the limit; invert it as-is, with the
+        # trace ridge, solving from the right for B = Upsilon_21 Upsilon_11^{-1}.
+        u11 = ups[:k] + 1e-10 * abs(np.trace(ups[:k])) * np.eye(k)
+        try:
+            bmat = np.linalg.solve(u11.T, ups[k:].T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular Upsilon_11") from exc
+        if not np.all(np.isfinite(bmat)) or np.linalg.cond(u11) > 1e12:
+            raise NumericalError("ill-conditioned Upsilon_11")
 
-    # W is the form in Delta_II - B Delta_I = [-B, I] T v, whose covariance
-    # Lambda*_II = [-B, I] Lambda [-B, I]' is the block Gram of that map.
-    a = ops.T[k:] - bmat @ ops.T[:k]
-    k_inv = _solve_spd(
-        _block_gram(a, score_covariance(spec, d)), "Lambda*_II", ridge=True
-    )
-    meta = _meta(spec.kind, n, d, p0, p1, M_eff, seed)
-    return _outcome(
-        s, m_vec, a, k_inv, d2 * (p1 - p0), alpha, meta, M_eff, seed, exhaustive
-    )
+        # W is the form in Delta_II - B Delta_I = [-B, I] T v, whose covariance
+        # Lambda*_II = [-B, I] Lambda [-B, I]' is the block Gram of that map.
+        a = ops.T[k:] - bmat @ ops.T[:k]
+        k_inv = _solve_spd(
+            _block_gram(a, score_covariance(spec, d)), "Lambda*_II", ridge=True
+        )
+        meta = _meta(spec.kind, n, d, p0, p1, M_eff, seed)
+        return _outcome(s, m_vec, a, k_inv, d2 * (p1 - p0), alpha, meta, perms)

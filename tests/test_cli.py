@@ -338,6 +338,16 @@ def test_order_constant_series_is_input_error(tmp_path, capsys):
     assert "all equal" in stderr
 
 
+@pytest.mark.parametrize("command", [["test-order", "--p0", "0", "--p1", "1"], ["identify"]])
+def test_gaussian_constant_series_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "flat.csv"
+    write_series(path, np.full((60, 2), 7.5))
+    code, stdout, stderr = run_cli(capsys, *command, "--data", str(path),
+                                   "--score", "gaussian")
+    assert code == 2 and stdout == ""
+    assert "all equal" in stderr
+
+
 def test_ranks_accepts_constant_series(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     write_series(path, np.zeros((60, 2)))

@@ -101,6 +101,18 @@ def test_singular_covariance_rejected():
         gaussian_test_specified(degenerate, model)
 
 
+@pytest.mark.parametrize("value", [0.0, 7.5])
+def test_constant_series_is_an_input_error(value):
+    # the rank tests class the same input as bad input, not as a numerical
+    # failure (singular L, singular covariance)
+    x = np.full((60, 2), value)
+    with pytest.raises(InputError, match="all equal"):
+        gaussian_test_order(x, 0, 1)
+    model = VarModel.from_matrices([0.3 * np.eye(2)])
+    with pytest.raises(InputError, match="all equal"):
+        gaussian_test_specified(x, model)
+
+
 def test_validation():
     x = np.random.default_rng(1).standard_normal((50, 2))
     with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from rankvar import (
     solve_coupling,
 )
 from rankvar import rank_tests
+from rankvar._rng import stream
 from rankvar.rank_tests import (
+    _PERM_CHUNK,
     _deltas,
     _lag_stacks,
+    _permutation_calibration,
     _perturbations,
     _scores_and_centering,
     _upsilon,
@@ -411,5 +415,82 @@ def test_non_finite_statistic_is_a_numerical_error(M):
     s = np.random.default_rng(3).standard_normal((30, 2))
     s[7] = np.nan
     eye = np.eye(4)
+    perms = None if M is None else rank_tests._iter_perm_chunks(30, M, 1, False)
     with pytest.raises(rv.NumericalError, match="non-finite statistic"):
-        rv.rank_tests._outcome(s, 0.0, eye, eye, 4, 0.05, {}, M=M, seed=1)
+        rv.rank_tests._outcome(s, 0.0, eye, eye, 4, 0.05, {}, perms)
+
+
+def sequential_chunks(n, M, seed):
+    """The permutations drawn inline, chunk after chunk from one stream, by
+    shuffling a tiled copy of the identity (the route before the in-place
+    draw)."""
+    rng = stream(seed, 11)
+    sizes = [_PERM_CHUNK] * (M // _PERM_CHUNK) + [M % _PERM_CHUNK]
+    return [rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1) for b in sizes if b]
+
+
+@pytest.mark.parametrize("which", ["specified", "order"])
+def test_permutations_drawn_ahead_follow_the_sequential_draw(monkeypatch, which):
+    # three chunks: the worker draws the second and third while the kernel
+    # evaluates the one before
+    n, M, seed = 24, 2 * _PERM_CHUNK + 37, 5
+    x = np.random.default_rng(31).standard_normal((n, 2))
+    grid = make_grid(factorize(n, 2), 2)
+    spec = ScoreSpec("vdw")
+    seen = {}
+    real_outcome = rank_tests._outcome
+
+    def recording(s, m_vec, a, k_inv, df, alpha, meta, perms=None):
+        seen["form"] = (s, m_vec, a, k_inv)
+        seen["chunks"] = list(perms)
+        return real_outcome(s, m_vec, a, k_inv, df, alpha, meta, iter(seen["chunks"]))
+
+    monkeypatch.setattr(rank_tests, "_outcome", recording)
+    if which == "specified":
+        theta0 = VarModel.from_matrices([np.array([[0.3, 0.1], [-0.1, 0.2]])], p1=2)
+        out = rv.test_specified(x, theta0, spec, grid, M=M, seed=seed)
+    else:
+        out = rv.test_order(x, 1, 2, spec, grid, M=M, seed=seed)
+
+    oracle = sequential_chunks(n, M, seed)
+    assert [c.shape for c in seen["chunks"]] == [(_PERM_CHUNK, n)] * 2 + [(37, n)]
+    for got, want in zip(seen["chunks"], oracle, strict=True):
+        assert np.array_equal(got, want)
+    # the p-value recomputed from the oracle's permutations in one batch
+    s, m_vec, a, k_inv = seen["form"]
+    h = _lag_stacks(np.take(s, np.concatenate(oracle), axis=0), m_vec, a.shape[1] // 4) @ a.T
+    stats = np.einsum("mi,ij,mj->m", h, k_inv, h)
+    assert out.p_permutational == _permutation_calibration(stats, out.statistic, 0.05)[0]
+
+
+def test_no_worker_thread_outlives_a_test(monkeypatch):
+    baseline = threading.active_count()
+    drawn_on = []
+    real_chunks = rank_tests._iter_perm_chunks
+
+    def spy(*args):
+        for chunk in real_chunks(*args):
+            drawn_on.append(threading.current_thread())
+            yield chunk
+
+    monkeypatch.setattr(rank_tests, "_iter_perm_chunks", spy)
+    spec = ScoreSpec("sign")
+    grid = make_grid(factorize(60, 2), 2)
+    x = np.random.default_rng(41).standard_normal((60, 2))
+
+    rv.test_order(x, 0, 1, spec, grid, M=99, seed=1)
+    assert threading.active_count() == baseline
+    assert drawn_on and threading.main_thread() not in drawn_on
+
+    grid6 = make_grid(factorize(6, 2), 2)
+    rv.test_specified(x[:6], ZERO2, spec, grid6, exhaustive=True)
+    assert threading.active_count() == baseline
+
+    with pytest.raises(InputError, match="all equal"):
+        rv.test_order(np.full((60, 2), 7.5), 0, 1, spec, grid, M=99, seed=1)
+    assert threading.active_count() == baseline
+
+    w = x[:, 0]
+    with pytest.raises(rv.NumericalError):
+        rv.test_order(np.column_stack([w, w]), 1, 2, spec, grid, M=99, seed=1)
+    assert threading.active_count() == baseline

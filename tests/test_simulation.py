@@ -393,6 +393,17 @@ def test_run_study_thread_invariance():
     assert serial.to_csv() == pooled.to_csv()
 
 
+def test_process_pool_after_a_permutational_test():
+    # the test joins its draw worker before returning, so the pool's forked
+    # workers start from a process that runs no other thread
+    x = np.random.default_rng(5).standard_normal((60, 2))
+    grid = make_grid(factorize(60, 2), 2)
+    rv.test_order(x, 0, 1, ScoreSpec("sign"), grid, M=59, seed=1)
+    serial = run_study(_small_config(tests=("sign", "sign_bc", "gaussian")))
+    pooled = run_study(_small_config(tests=("sign", "sign_bc", "gaussian"), threads=2))
+    assert serial.cells == pooled.cells
+
+
 def test_cells_invariant_to_test_order():
     a = run_study(_small_config(tests=("sign", "vdw_bc")))
     b = run_study(_small_config(tests=("vdw_bc", "sign")))
