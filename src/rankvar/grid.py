@@ -86,6 +86,12 @@ class BallGrid:
         reads on every coupling."""
         return _row_groups(self.points)
 
+    @cached_property
+    def _coarse_groups(self) -> np.ndarray:
+        """:func:`_groups` of the gridpoints into max(n // 4, 1) groups, which
+        the warm start of every coupling reads."""
+        return _groups(self.points, max(self.n // 4, 1))
+
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row, the index of the first row equal to it (bytewise) and
@@ -96,6 +102,29 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     return first[group], counts[group]
+
+
+def _groups(x: np.ndarray, m: int) -> np.ndarray:
+    """A permutation of the n rows of x that lists m groups in turn: four
+    rows each, the last taking the other n - 4(m - 1).
+
+    Median splits: a block of k groups splits along its widest coordinate,
+    its 4 * (k // 2) lowest rows (equal values in stable order) forming the
+    first k // 2 groups.  One sort splits every block of a level.
+    """
+    n = x.shape[0]
+    order = np.arange(n)
+    starts, ks = np.zeros(1, dtype=np.intp), np.array([m])
+    while ks.size < m:
+        xs = x[order]
+        spread = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
+        block = np.repeat(np.arange(ks.size), np.diff(starts, append=n))
+        order = order[np.lexsort((xs[np.arange(n), spread.argmax(1)[block]], block))]
+        lo = ks // 2
+        starts = np.column_stack([starts, starts + 4 * lo]).ravel()
+        ks = np.column_stack([lo, ks - lo]).ravel()
+        starts, ks = starts[ks > 0], ks[ks > 0]
+    return order
 
 
 def factorize(n: int, d: int, override: tuple[int, int, int] | None = None) -> GridFactorization:

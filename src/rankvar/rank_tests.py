@@ -61,6 +61,7 @@ from .var_algebra import (
     VarModel,
     _operator_stack,
     _require_stationary,
+    _shared,
     build_operator_matrices,
     fit_constrained_ls,
     residuals,
@@ -415,33 +416,40 @@ def test_specified(
         return _outcome(s, m_vec, a, k_inv, d * d * theta0.p1, alpha, meta, perms)
 
 
-def _perturbations(theta_hat: VarModel, n: int) -> tuple[list[VarModel], np.ndarray]:
+def _perturbations(theta_hat: VarModel, n: int) -> tuple[tuple[VarModel, ...], np.ndarray]:
     """The p0 d^2 models theta_hat + h_i e_i, one per coordinate of the free
-    parameter blocks, and their steps h_i.
+    parameter blocks, and their steps h_i (read-only).
 
     The step is h = n^{-1/2}; if a perturbed model leaves the stationarity
     region its step is halved, up to ten times.  A non-stationary
     theta_hat raises the stationarity error of the operator matrices.
+    Within a series scope they are built once per (theta_hat, n).
     """
     _require_stationary(theta_hat)
     d, p0, p1 = theta_hat.d, theta_hat.p0, theta_hat.p1
-    models, steps = [], []
-    for col in range(p0 * d * d):
-        h = n ** -0.5
-        for _ in range(11):
-            theta_p = theta_hat.theta.copy()
-            theta_p[col] += h
-            model_p = VarModel(d=d, p0=p0, p1=p1, theta=theta_p)
-            if model_p.is_stationary():
-                break
-            h /= 2.0
-        else:
-            raise NumericalError(
-                f"perturbation of coordinate {col + 1} cannot stay stationary"
-            )
-        models.append(model_p)
-        steps.append(h)
-    return models, np.array(steps)
+
+    def build():
+        models, steps = [], []
+        for col in range(p0 * d * d):
+            h = n ** -0.5
+            for _ in range(11):
+                theta_p = theta_hat.theta.copy()
+                theta_p[col] += h
+                model_p = VarModel(d=d, p0=p0, p1=p1, theta=theta_p)
+                if model_p.is_stationary():
+                    break
+                h /= 2.0
+            else:
+                raise NumericalError(
+                    f"perturbation of coordinate {col + 1} cannot stay stationary"
+                )
+            models.append(model_p)
+            steps.append(h)
+        steps = np.array(steps)
+        steps.setflags(write=False)
+        return tuple(models), steps
+
+    return _shared(("perturbations", theta_hat.theta.tobytes(), d, p0, p1, n), build)
 
 
 def _upsilon(deltas: np.ndarray, steps: np.ndarray, n: int) -> np.ndarray:

@@ -5,9 +5,13 @@ configurable scale: rejection frequencies of white-noise tests across a
 family of alternatives l * A, or under-/correct/over-identification counts
 of the sequential order selection.  Replications carry deterministically
 derived RNG streams, so a study is bit-reproducible for a given seed no
-matter how many workers share it.  All tests of one simulated series couple
-the same residuals to the same grids, so each optimal coupling is solved
-once per series and shared by the tests; nothing is shared across series.
+matter how many workers share it.  All tests of one simulated series fit
+the same parameters and couple the same residuals to the same grids, so
+each series runs its tests in one scope (:func:`var_algebra._series_scope`)
+that computes once what they compute from the series and a parameter
+alone: the optimal couplings, the operator matrices of every model and the
+finite-difference perturbations of every fit.  Nothing is shared across
+series.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from .grid import BallGrid, factorize, make_grid, make_sphere_grid
 from .order_id import identify_order
 from .rank_tests import test_order
 from .scores import ScoreSpec, chisq_quantile
-from .transport import _shared_couplings
-from .var_algebra import VarModel, simulate_var
+from .var_algebra import VarModel, _series_scope, simulate_var
 
 __all__ = [
     "InnovationModel",
@@ -500,7 +503,7 @@ def _replicate(config: StudyConfig, grids: dict[str, BallGrid], rep: int) -> lis
             x = contaminate(x, config.contamination)
 
         cell = _reject_cell if config.task == "reject" else _identify_cell
-        with _shared_couplings():
+        with _series_scope():
             records.extend(cell(config, grids, rep, ell_idx, x))
     return records
 
@@ -658,8 +661,9 @@ def run_study(config: StudyConfig) -> StudyReport:
     Replications are split across processes when ``threads`` exceeds one
     (None means one); results are identical for any worker count because
     each replication derives its randomness from (seed, replication index)
-    alone.  The tests of one simulated series share its optimal couplings
-    (see the module docstring), which changes no result.
+    alone.  The tests of one simulated series share its couplings, operator
+    matrices and perturbations (see the module docstring), which changes no
+    result.
     """
     if config.innovations is None:
         raise InputError("config has no innovation model")

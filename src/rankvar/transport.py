@@ -35,24 +35,22 @@ cost gives; where several are optimal (tied residual rows, or residuals on
 a mirror axis of the grid) the solver returns one of equal cost, and tie
 canonicalization below makes the tied-row case deterministic.
 
-Inside :func:`_shared_couplings` a coupling is solved once per distinct
-(residuals, grid) pair and returned again for the same pair; the Monte
-Carlo engine opens one such scope per simulated series, whose tests all
-couple the same residuals.
+Inside a series scope (:func:`var_algebra._series_scope`) a coupling is
+solved once per distinct (residuals, grid) pair and returned again for the
+same pair; the Monte Carlo engine opens one such scope per simulated
+series, whose tests all couple the same residuals.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ._errors import InputError
-from .grid import BallGrid, _row_groups
-from .var_algebra import _pow2_scaled
+from .grid import BallGrid, _groups, _row_groups
+from .var_algebra import _pow2_scaled, _shared
 
 __all__ = ["Coupling", "solve_coupling", "coupling_cost"]
 
@@ -123,6 +121,8 @@ def _sort_tied_residuals(assignment: np.ndarray, z: np.ndarray, grid: BallGrid) 
     counts by the lowest index of its duplicate group, so that
     :func:`_canonicalize_ties`, applied after, completes a canonical form.
     """
+    if np.unique(z[:, 0]).size == z.shape[0]:
+        return assignment  # no two rows share even their first coordinate
     group, size = _row_groups(z + 0.0)
     times = np.flatnonzero(size > 1)
     if not times.size:
@@ -146,21 +146,6 @@ def _from_assignment(assignment: np.ndarray, grid: BallGrid) -> Coupling:
     for a in arrays:
         a.setflags(write=False)
     return Coupling(*arrays, grid=grid)
-
-
-# (id(grid), residual bytes) -> Coupling within a _shared_couplings scope.  A
-# stored Coupling holds its grid, so no id is reused while the scope is open.
-_SHARED: ContextVar[dict | None] = ContextVar("rankvar_shared_couplings", default=None)
-
-
-@contextmanager
-def _shared_couplings():
-    """Scope in which :func:`solve_coupling` solves each (residuals, grid) once."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
 
 
 def _column_potentials(cost: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -192,40 +177,18 @@ def _reduce(cost: np.ndarray, v: np.ndarray) -> None:
     cost -= cost.min(axis=0)
 
 
-def _groups(x: np.ndarray, m: int) -> np.ndarray:
-    """A permutation of the n rows of x that lists m groups in turn: four
-    rows each, the last taking the other n - 4(m - 1).
-
-    Median splits: a block of k groups splits along its widest coordinate,
-    its 4 * (k // 2) lowest rows (equal values in stable order) forming the
-    first k // 2 groups.  One sort splits every block of a level.
-    """
-    n = x.shape[0]
-    order = np.arange(n)
-    starts, ks = np.zeros(1, dtype=np.intp), np.array([m])
-    while ks.size < m:
-        xs = x[order]
-        spread = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
-        block = np.repeat(np.arange(ks.size), np.diff(starts, append=n))
-        order = order[np.lexsort((xs[np.arange(n), spread.argmax(1)[block]], block))]
-        lo = ks // 2
-        starts = np.column_stack([starts, starts + 4 * lo]).ravel()
-        ks = np.column_stack([lo, ks - lo]).ravel()
-        starts, ks = starts[ks > 0], ks[ks > 0]
-    return order
-
-
-def _warm_start(cost: np.ndarray, z: np.ndarray, g: np.ndarray) -> None:
+def _warm_start(cost: np.ndarray, z: np.ndarray, grid: BallGrid) -> None:
     """Reduce the n x n cost in place by an estimate of its optimal duals.
 
-    The residuals z and, separately, the gridpoints g are split into
-    m = max(n // 4, 1) groups by :func:`_groups`.  The coarse cost of a
-    residual group R against a gridpoint group G is the mean cost of their
-    pairs, the mean over G of |g|^2 - 2 zbar_R'g; it is solved exactly, its
-    column potentials recovered and its row potentials u_R taken as row
-    minima.  Every gridpoint then gets the c-transform over the residual
-    group means, v_k = min_R (|g_k|^2 - 2 zbar_R'g_k - u_R), and the cost
-    is reduced by v (:func:`_reduce`).
+    The residuals z and, separately, the gridpoints g of the grid are split
+    into m = max(n // 4, 1) groups by :func:`_groups`, the gridpoints once
+    per grid.  The coarse cost of a residual group R against a gridpoint
+    group G is the mean cost of their pairs, the mean over G of
+    |g|^2 - 2 zbar_R'g; it is solved exactly, its column potentials
+    recovered and its row potentials u_R taken as row minima.  Every
+    gridpoint then gets the c-transform over the residual group means,
+    v_k = min_R (|g_k|^2 - 2 zbar_R'g_k - u_R), and the cost is reduced by
+    v (:func:`_reduce`).
     """
     n = cost.shape[0]
     m = max(n // 4, 1)
@@ -233,8 +196,9 @@ def _warm_start(cost: np.ndarray, z: np.ndarray, g: np.ndarray) -> None:
     sizes = np.diff(starts, append=n)
     means = np.add.reduceat(z[_groups(z, m)], starts) / sizes[:, None]
     # The cost of every gridpoint against every residual group's mean.
+    g = grid.points
     near = (g * g).sum(1) - 2.0 * (means @ g.T)
-    coarse = np.add.reduceat(near[:, _groups(g, m)], starts, axis=1) / sizes
+    coarse = np.add.reduceat(near[:, grid._coarse_groups], starts, axis=1) / sizes
     _, sigma = linear_sum_assignment(coarse)
     v = _column_potentials(coarse, sigma)
     u = (coarse - v).min(axis=1)
@@ -251,10 +215,10 @@ def _cost(z: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
-    """The coupling of one residual array: validation, the
-    :func:`_shared_couplings` memo, the cost reduced in place by
-    ``warm(cost, scaled residuals, gridpoints)``, the exact solve and tie
-    canonicalization."""
+    """The coupling of one residual array: validation, then, once per
+    (residuals, grid) in a series scope (:func:`var_algebra._shared`), the
+    cost reduced in place by ``warm(cost, scaled residuals, grid)``, the
+    exact solve and tie canonicalization."""
     z = np.asarray(residuals, dtype=float)
     if z.ndim != 2:
         raise TransportError(f"residuals must be 2-d, got shape {z.shape}")
@@ -265,22 +229,19 @@ def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
         raise TransportError(f"residual dimension {d} vs grid dimension {grid.d}")
     if not np.isfinite(z).all():
         raise TransportError("non-finite residual entries")
-    shared = _SHARED.get()
-    if shared is not None:
-        key = (id(grid), z.tobytes())
-        if key in shared:
-            return shared[key]
-    scaled = _pow2_scaled(z)
-    cost = _cost(scaled, grid.points)
-    warm(cost, scaled, grid.points)
-    rows, cols = linear_sum_assignment(cost)
-    assignment = np.empty(n, dtype=int)
-    assignment[rows] = cols
-    assignment = _sort_tied_residuals(assignment, z, grid)
-    coupling = _from_assignment(_canonicalize_ties(assignment, grid), grid)
-    if shared is not None:
-        shared[key] = coupling
-    return coupling
+
+    def solve() -> Coupling:
+        scaled = _pow2_scaled(z)
+        cost = _cost(scaled, grid.points)
+        warm(cost, scaled, grid)
+        rows, cols = linear_sum_assignment(cost)
+        assignment = np.empty(n, dtype=int)
+        assignment[rows] = cols
+        assignment = _sort_tied_residuals(assignment, z, grid)
+        return _from_assignment(_canonicalize_ties(assignment, grid), grid)
+
+    # A stored Coupling holds its grid, so no id is reused while a scope is open.
+    return _shared(("coupling", id(grid), z.tobytes()), solve)
 
 
 def solve_coupling(residuals: np.ndarray, grid: BallGrid) -> Coupling:
@@ -310,17 +271,17 @@ def _perturbed_couplings(stack, grid: BallGrid, base: Coupling, base_residuals) 
     column shifted by its base pair's cost change, so that every pair of the
     base assignment stays tight.  :func:`_column_potentials` recovers the
     potentials from the base assignment once per call, and only when some
-    array of the stack misses the :func:`_shared_couplings` memo.  The
+    array of the stack misses the series scope's memo.  The
     potentials move only the run time.
     """
     cols = np.arange(grid.n)
     inv = np.argsort(base.assignment)  # the time assigned each gridpoint
     shift = None  # base potentials less the cost of each column's base pair
 
-    def warm(cost, z, g):
+    def warm(cost, z, grid):
         nonlocal shift
         if shift is None:
-            base_cost = _cost(_pow2_scaled(np.asarray(base_residuals, dtype=float)), g)
+            base_cost = _cost(_pow2_scaled(np.asarray(base_residuals, dtype=float)), grid.points)
             shift = _column_potentials(base_cost, base.assignment) - base_cost[inv, cols]
         _reduce(cost, shift + cost[inv, cols])
 

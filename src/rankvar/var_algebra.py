@@ -14,10 +14,19 @@ D(L) recursion runs in companion form, one batched (d x d p0)(d p0 x d p0)
 product per lag for the whole stack, each model with its own lag horizon,
 and the Kronecker expansions kron(B, I_d) behind M and Q are each one
 broadcast over all blocks.
+
+Inside :func:`_series_scope` whatever the tests of one series compute from
+(series, parameter) alone is computed once and returned again for the same
+inputs, through :func:`_shared`: the operator matrices of each model, the
+finite-difference perturbations of a fitted parameter and the optimal
+couplings.  The Monte Carlo engine opens one scope per simulated series;
+outside a scope nothing is kept.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,6 +44,32 @@ __all__ = [
     "fit_constrained_ls",
     "build_operator_matrices",
 ]
+
+
+# Key -> value within a _series_scope; None outside every scope.
+_SCOPE: ContextVar[dict | None] = ContextVar("rankvar_series_scope", default=None)
+
+
+@contextmanager
+def _series_scope():
+    """Scope in which :func:`_shared` computes each key once."""
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _shared(key, compute):
+    """``compute()``, stored under ``key`` inside a :func:`_series_scope` and
+    returned from there on the next call with an equal key.  A raise is not
+    stored; outside a scope this is ``compute()``."""
+    memo = _SCOPE.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -330,6 +365,8 @@ class OperatorMatrices:
     effective_lags : int
         The lag horizon L: the largest lag i with a nonzero block row Q_i.
         Q and T stop there, since every later block row is zero.
+
+    The arrays are read-only: a series scope may share them between tests.
     """
 
     M: np.ndarray = field(repr=False)
@@ -434,11 +471,23 @@ def _fundamental_rows(
 
 def _operator_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
     """:class:`OperatorMatrices` of every model of a stack that shares (d, p0,
-    p1), with one companion recursion for the whole stack.
+    p1), with one companion recursion for the models a :func:`_series_scope`
+    does not already hold (all of them outside a scope).
 
     The callers check p1 and n; each model must be stationary.  See
     :func:`build_operator_matrices`.
     """
+    memo = _SCOPE.get()
+    if memo is None:
+        return _build_stack(models, n)
+    keys = [("operators", m.theta.tobytes(), m.d, m.p0, m.p1, n) for m in models]
+    missing = {key: model for key, model in zip(keys, models) if key not in memo}
+    memo.update(zip(missing, _build_stack(list(missing.values()), n)))
+    return [memo[key] for key in keys]
+
+
+def _build_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
+    """The operator matrices of :func:`_operator_stack`, every model's built."""
     if not models:
         return []
     d, p0, p1 = models[0].d, models[0].p0, models[0].p1
@@ -464,8 +513,10 @@ def _operator_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
         if p0 > 0:
             # Block row t = p1 - p0 + 1 + k of Q is kron(rows[s, k], I_d).
             q[head:, head:] = _kron_eye(rows[s, : effective - (p1 - p0)], d).reshape(-1, d2 * p0)
-        t_mat = ms[s].T @ q.T
-        out.append(OperatorMatrices(M=ms[s], P=p_mat, Q=q, T=t_mat, effective_lags=effective))
+        arrays = (ms[s], p_mat, q, ms[s].T @ q.T)
+        for a in arrays:
+            a.setflags(write=False)
+        out.append(OperatorMatrices(*arrays, effective_lags=effective))
     return out
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import threading
 
@@ -25,6 +26,7 @@ from rankvar import (
 )
 from rankvar import rank_tests
 from rankvar._rng import stream
+from rankvar.gaussian_tests import gaussian_test_order
 from rankvar.rank_tests import (
     _PERM_CHUNK,
     _deltas,
@@ -34,6 +36,7 @@ from rankvar.rank_tests import (
     _scores_and_centering,
     _upsilon,
 )
+from rankvar.var_algebra import _series_scope
 
 # rv.test_specified / rv.test_order stay behind the module qualifier so
 # pytest does not try to collect them as test items.
@@ -213,6 +216,21 @@ def test_upsilon_fills_every_column():
     ups = _upsilon(deltas, steps, 60)
     assert ups.shape == (8, 4)
     assert np.all(np.any(ups != 0.0, axis=0))
+
+
+def test_perturbations_are_read_only_and_built_once_per_scope():
+    x = np.random.default_rng(14).standard_normal((60, 2))
+    theta_hat = fit_constrained_ls(x, 1, p1=2)
+    models, steps = _perturbations(theta_hat, 60)
+    assert not steps.flags.writeable
+    assert all(not m.theta.flags.writeable for m in models)
+    with _series_scope():
+        first = _perturbations(theta_hat, 60)
+        assert _perturbations(theta_hat, 60) is first
+        assert _perturbations(theta_hat, 61) is not first
+    assert _perturbations(theta_hat, 60) is not first
+    assert np.array_equal(first[1], steps)
+    assert [m.theta.tobytes() for m in first[0]] == [m.theta.tobytes() for m in models]
 
 
 def serial_delta(model, x, table, grid, m_vec):
@@ -494,3 +512,44 @@ def test_no_worker_thread_outlives_a_test(monkeypatch):
     with pytest.raises(rv.NumericalError):
         rv.test_order(np.column_stack([w, w]), 1, 2, spec, grid, M=99, seed=1)
     assert threading.active_count() == baseline
+
+
+def order_outcomes(x, p0, grid):
+    """What test_order (vdw, sign) and gaussian_test_order return at p0 vs
+    p0 + 1, as JSON text, or the error each raises."""
+    runs = [
+        lambda: rv.test_order(x, p0, p0 + 1, ScoreSpec("vdw"), grid, M=9, seed=3),
+        lambda: rv.test_order(x, p0, p0 + 1, ScoreSpec("sign"), grid),
+        lambda: gaussian_test_order(x, p0, p0 + 1),
+    ]
+    out = []
+    for run in runs:
+        try:
+            out.append(json.dumps(run().to_dict(), sort_keys=True))
+        except (InputError, rv.NumericalError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(30, 80),
+    d=st.integers(1, 3),
+    p0=st.integers(0, 2),
+    rounded=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_series_scope_changes_no_outcome(n, d, p0, rounded, seed):
+    # a scope shares fits, perturbations, operator matrices and couplings
+    # between the tests of a series: every outcome stays bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    for t in range(1, n):
+        x[t] += 0.4 * x[t - 1]
+    if rounded:
+        x = np.round(x)
+    grid = make_grid(factorize(n, d), d)
+    alone = order_outcomes(x, p0, grid)
+    with _series_scope():
+        assert order_outcomes(x, p0, grid) == alone
+        assert order_outcomes(x, p0, grid) == alone

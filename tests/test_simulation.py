@@ -25,6 +25,7 @@ from rankvar import (
     simulate_var,
     transport,
 )
+from rankvar import rank_tests, var_algebra
 
 
 # ---------------------------------------------------------------- samplers
@@ -525,7 +526,11 @@ def _full_solves(calls, bases):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "task, tests",
-    [("identify", ("vdw", "sign_bc")), ("reject", ("sign", "spearman", "vdw"))],
+    [
+        ("identify", ("vdw", "sign_bc")),
+        ("reject", ("sign", "spearman", "vdw")),
+        ("identify", ("vdw", "sign_bc", "gaussian")),
+    ],
 )
 def test_shared_couplings_leave_every_cell_unchanged(task, tests, threads):
     together = run_study(_sharing_config(task, tests=tests, threads=threads))
@@ -570,7 +575,39 @@ def test_direct_calls_share_no_coupling(monkeypatch):
     assert steps == [2, 2] and _full_solves(calls, bases=2 * 2) == 2 * 6
 
 
+def test_identification_builds_each_model_once_per_series(monkeypatch):
+    # the operator recursion and the perturbations of the fit run once per
+    # (series, p0) however many tests share the series
+    recursions, perturbations = [], []
+    rows, shared = var_algebra._fundamental_rows, rank_tests._shared
+
+    def counted_rows(models, n, d_coeffs):
+        recursions.append(len(models))
+        return rows(models, n, d_coeffs)
+
+    def counted_shared(key, compute):
+        def run():
+            perturbations.append(key)
+            return compute()
+
+        return shared(key, run)
+
+    monkeypatch.setattr(var_algebra, "_fundamental_rows", counted_rows)
+    monkeypatch.setattr(rank_tests, "_shared", counted_shared)
+    counts = {}
+    for tests in (("vdw",), ("vdw", "sign_bc", "gaussian")):
+        recursions.clear()
+        perturbations.clear()
+        report = run_study(_sharing_config("identify", tests=tests))
+        assert all(report.cells[t][0]["correct"] == 4 for t in tests)
+        counts[tests] = (list(recursions), len(perturbations))
+    # each series: order 1 vs 2 fits one model and perturbs its d^2 = 4
+    # coordinates; order 0 has no recursion and no perturbation
+    assert counts[("vdw",)] == ([1, 4] * 4, 4)
+    assert counts[("vdw", "sign_bc", "gaussian")] == counts[("vdw",)]
+
+
 def test_no_sharing_scope_outlives_run_study():
-    assert transport._SHARED.get() is None
+    assert var_algebra._SCOPE.get() is None
     run_study(_sharing_config("reject", tests=("sign", "vdw"), N=2))
-    assert transport._SHARED.get() is None
+    assert var_algebra._SCOPE.get() is None

@@ -20,15 +20,13 @@ from rankvar import (
     solve_coupling,
 )
 from rankvar import transport
+from rankvar.grid import _groups
 from rankvar.transport import (
-    _SHARED,
     _canonicalize_ties,
-    _groups,
     _perturbed_couplings,
-    _shared_couplings,
     _sort_tied_residuals,
 )
-from rankvar.var_algebra import _pow2_scaled
+from rankvar.var_algebra import _SCOPE, _pow2_scaled, _series_scope
 
 
 def brute_force_cost(residuals, grid):
@@ -161,17 +159,17 @@ def test_shared_scope_returns_the_stored_coupling():
     grid = make_grid(factorize(30, 2), 2)
     twin = make_grid(factorize(30, 2), 2)
     assert solve_coupling(x, grid) is not solve_coupling(x, grid)
-    with _shared_couplings():
+    with _series_scope():
         c = solve_coupling(x, grid)
         assert solve_coupling(x.copy(), grid) is c
         assert solve_coupling(x, twin) is not c  # keyed on the grid object
         assert solve_coupling(x + 1e-9, grid) is not c
         with pytest.raises(InputError):  # same key bytes, still validated
             solve_coupling(x.reshape(1, 60), grid)
-    assert _SHARED.get() is None
-    with pytest.raises(RuntimeError), _shared_couplings():
+    assert _SCOPE.get() is None
+    with pytest.raises(RuntimeError), _series_scope():
         raise RuntimeError
-    assert _SHARED.get() is None
+    assert _SCOPE.get() is None
 
 
 def test_coupling_exposes_n_and_grid():
@@ -386,7 +384,7 @@ def test_base_potentials_are_recovered_only_on_a_memo_miss(monkeypatch):
     z = np.random.default_rng(3).standard_normal((80, 2))
     grid = make_grid(factorize(80, 2), 2)
     stack = perturbed_stack(z, np.random.default_rng(4))
-    with _shared_couplings():
+    with _series_scope():
         base = solve_coupling(z, grid)
         assert calls == [(20, 20)]  # the coarse warm start of the base
         first = _perturbed_couplings(stack, grid, base, z)
@@ -426,6 +424,18 @@ def test_tied_rows_get_ascending_gridpoints(d):
     for r in np.unique(group):
         times = np.flatnonzero(group.ravel() == r)
         assert np.all(np.diff(a[times]) > 0)
+
+
+def test_rows_tied_through_a_signed_zero_are_sorted():
+    # the one tie is 0.0 against -0.0 in the first coordinate, which the
+    # shortcut for distinct first coordinates must not take for two values
+    z = np.random.default_rng(7).standard_normal((40, 2))
+    z[3], z[17] = [0.0, 0.5], [-0.0, 0.5]
+    grid = make_grid(factorize(40, 2), 2)
+    a = solve_coupling(z, grid).assignment
+    assert a[3] < a[17]
+    assert np.array_equal(solve_coupling(z + 0.0, grid).assignment, a)
+    assert np.array_equal(solve_coupling(z[::-1], grid).assignment[[22, 36]], np.sort(a[[3, 17]]))
 
 
 @pytest.mark.parametrize("trial", range(6))

@@ -16,10 +16,12 @@ from rankvar import (
     vec,
 )
 from rankvar.var_algebra import (
+    _SCOPE,
     _d_coefficients,
     _fundamental_rows,
     _greens,
     _operator_stack,
+    _series_scope,
 )
 
 
@@ -320,6 +322,28 @@ def test_stacked_builds_equal_single_builds(d, p0, extra, size, full_horizon, se
         assert ops.effective_lags == single.effective_lags
         for name in ("M", "P", "Q", "T"):
             assert np.array_equal(getattr(ops, name), getattr(single, name))
+
+
+def test_series_scope_builds_each_model_once():
+    rng = np.random.default_rng(6)
+    model, other = (random_stationary(rng, 2, 1, p1=2) for _ in range(2))
+    ops = build_operator_matrices(model, 50)
+    for name in ("M", "P", "Q", "T"):
+        assert not getattr(ops, name).flags.writeable
+    assert build_operator_matrices(model, 50) is not ops  # no scope, no memo
+    explosive = VarModel.from_matrices([np.eye(2) * 1.1], p1=2)
+    with _series_scope():
+        ops = build_operator_matrices(model, 50)
+        twin = VarModel(d=2, p0=1, p1=2, theta=model.theta.copy())
+        assert build_operator_matrices(twin, 50) is ops  # keyed on the values
+        assert build_operator_matrices(model, 51) is not ops
+        stack = _operator_stack([other, model, other], 50)
+        assert stack[1] is ops and stack[0] is stack[2]
+        assert build_operator_matrices(other, 50) is stack[0]
+        for _ in range(2):  # a raise is not stored
+            with pytest.raises(NumericalError, match="not stationary"):
+                build_operator_matrices(explosive, 50)
+    assert _SCOPE.get() is None
 
 
 def test_effective_lags_truncation():
