@@ -5,6 +5,10 @@ mc.  Single-run commands print a self-describing JSON report to stdout;
 table-producing commands write CSV (plus a JSON sidecar for mc).  Exit
 codes: 0 success, 2 input error, 3 numerical failure.  Randomized paths
 take --seed or draw one from entropy and echo it in the report.
+test-spec, test-order and identify read their shared flags in
+:func:`_test_inputs`, which picks the test family and builds the seeded
+grid (:func:`grid._seeded_grid`); order tests run through
+:func:`order_id._order_test`.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ import numpy as np
 
 from ._errors import InputError, NumericalError
 from ._rng import derive_seed, fresh_seed
-from .gaussian_tests import gaussian_test_order, gaussian_test_specified
-from .grid import BallGrid, _reconstruct_grid, factorize, make_grid, make_sphere_grid
-from .order_id import IdentificationError, identify_order
-from .rank_tests import test_order, test_specified
+from .gaussian_tests import gaussian_test_specified
+from .grid import _reconstruct_grid, _seeded_grid
+from .order_id import IdentificationError, _order_test, identify_order
+from .rank_tests import test_specified
 from .scores import ScoreSpec
 from .simulation import (
+    _BURN_IN,
     ContaminationSpec,
     InnovationModel,
     _floats,
@@ -129,25 +134,13 @@ def _load_theta0(path: str, p1: int | None) -> VarModel:
     return VarModel.from_matrices(mats, p1=p1)
 
 
-def _grid_for(args, n: int, d: int, seed: int) -> BallGrid:
-    """Build the grid a test subcommand needs, honoring overrides."""
-    if getattr(args, "sphere", False):
-        if args.score != "sign":
-            raise InputError("--sphere is only available for --score sign")
-        return make_sphere_grid(n, d, seed=derive_seed(seed, 4))
-    override = _grid_override(args)
-    fact = factorize(n, d, override=override)
-    return make_grid(fact, d, seed=derive_seed(seed, 3))
-
-
 def _grid_override(args) -> tuple[int, int, int] | None:
-    trio = (getattr(args, "nr", None), getattr(args, "ns", None), getattr(args, "n0", None))
-    given = [v for v in trio if v is not None]
-    if not given:
+    trio = (args.nr, args.ns, args.n0)
+    if trio == (None, None, None):
         return None
-    if len(given) != 3:
+    if None in trio:
         raise InputError("--nr, --ns and --n0 must be given together")
-    return (trio[0], trio[1], trio[2])
+    return trio
 
 
 def _sanitize(obj):
@@ -187,18 +180,33 @@ def _write_matrix_csv(path: str, x: np.ndarray) -> None:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
-def _score_spec(name: str) -> ScoreSpec:
-    return ScoreSpec(kind=name)
-
-
 def _seed_or_fresh(args) -> int:
     return fresh_seed() if args.seed is None else args.seed
 
 
+def _test_inputs(args):
+    """The series, test family (a ScoreSpec or "gaussian"), seed and grid of
+    a test subcommand.  The Gaussian test draws nothing: it gets no seed and
+    no grid, and refuses --perm and the grid flags."""
+    x = ingest_csv(args.data, diff=args.diff, demean=args.demean)
+    n, d = x.shape
+    if args.score == "gaussian":
+        if args.perm is not None:
+            raise InputError("the gaussian test has no permutational variant")
+        if args.sphere or (args.nr, args.ns, args.n0) != (None, None, None):
+            raise InputError("the gaussian test takes no grid: drop --sphere, --nr, --ns, --n0")
+        return x, "gaussian", None, None
+    if args.sphere and args.score != "sign":
+        raise InputError("--sphere is only available for --score sign")
+    seed = _seed_or_fresh(args)
+    grid = _seeded_grid(n, d, seed, args.sphere, _grid_override(args))
+    return x, ScoreSpec(args.score), seed, grid
+
+
 def cmd_grid(args) -> int:
     seed = _seed_or_fresh(args)
-    fact = factorize(args.n, args.d, override=_grid_override(args))
-    grid = make_grid(fact, args.d, seed=derive_seed(seed, 3))
+    grid = _seeded_grid(args.n, args.d, seed, override=_grid_override(args))
+    fact = grid.factorization
     _write_matrix_csv(args.out, grid.points)
     _emit(
         "grid",
@@ -227,7 +235,7 @@ def cmd_ranks(args) -> int:
             )
         grid = _reconstruct_grid(points)
     else:
-        grid = make_grid(factorize(n, d), d, seed=derive_seed(seed, 3))
+        grid = _seeded_grid(n, d, seed)
     coupling = solve_coupling(x, grid)
     observations = [
         {
@@ -280,79 +288,45 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test_spec(args) -> int:
-    x = ingest_csv(args.data, diff=args.diff, demean=args.demean)
-    n, d = x.shape
+    x, spec, seed, grid = _test_inputs(args)
     theta0 = _load_theta0(args.theta0, args.p1)
-    if theta0.d != d:
-        raise InputError(f"theta0 is for d={theta0.d}, data has d={d}")
     config = {
         "data": args.data, "theta0": args.theta0, "p1": theta0.p1,
         "score": args.score, "alpha": args.alpha, "perm": args.perm,
         "diff": args.diff, "demean": args.demean,
     }
-    if args.score == "gaussian":
-        if args.perm is not None:
-            raise InputError("the gaussian test has no permutational variant")
+    if spec == "gaussian":
         out = gaussian_test_specified(x, theta0, alpha=args.alpha)
-        _emit("test-spec", config, None, out.to_dict())
-        return 0
-    seed = _seed_or_fresh(args)
-    grid = _grid_for(args, n, d, seed)
-    out = test_specified(
-        x, theta0, _score_spec(args.score), grid,
-        alpha=args.alpha, M=args.perm, seed=seed if args.perm else None,
-    )
+    else:
+        out = test_specified(x, theta0, spec, grid, alpha=args.alpha, M=args.perm, seed=seed)
     _emit("test-spec", config, seed, out.to_dict())
     return 0
 
 
 def cmd_test_order(args) -> int:
-    x = ingest_csv(args.data, diff=args.diff, demean=args.demean)
-    n, d = x.shape
+    x, spec, seed, grid = _test_inputs(args)
     config = {
         "data": args.data, "p0": args.p0, "p1": args.p1, "score": args.score,
         "alpha": args.alpha, "perm": args.perm,
         "diff": args.diff, "demean": args.demean,
     }
-    if args.score == "gaussian":
-        if args.perm is not None:
-            raise InputError("the gaussian test has no permutational variant")
-        out = gaussian_test_order(x, args.p0, args.p1, alpha=args.alpha)
-        _emit("test-order", config, None, out.to_dict())
-        return 0
-    seed = _seed_or_fresh(args)
-    grid = _grid_for(args, n, d, seed)
-    out = test_order(
-        x, args.p0, args.p1, _score_spec(args.score), grid,
-        alpha=args.alpha, M=args.perm, seed=seed if args.perm else None,
-    )
+    out = _order_test(x, args.p0, args.p1, spec, grid, args.alpha, args.perm, seed)
     _emit("test-order", config, seed, out.to_dict())
     return 0
 
 
 def cmd_identify(args) -> int:
-    x = ingest_csv(args.data, diff=args.diff, demean=args.demean)
-    n, d = x.shape
+    x, spec, seed, grid = _test_inputs(args)
     config = {
         "data": args.data, "score": args.score, "alpha": args.alpha,
         "max_order": args.max_order, "perm": args.perm,
         "diff": args.diff, "demean": args.demean,
     }
-    seed = None
     try:
-        if args.score == "gaussian":
-            if args.perm is not None:
-                raise InputError("the gaussian test has no permutational variant")
-            trace = identify_order(
-                x, "gaussian", alpha=args.alpha, max_order=args.max_order
-            )
-        else:
-            seed = _seed_or_fresh(args)
-            grid = _grid_for(args, n, d, seed)
-            trace = identify_order(
-                x, _score_spec(args.score), alpha=args.alpha,
-                max_order=args.max_order, M=args.perm, seed=seed, grid=grid,
-            )
+        trace = identify_order(
+            x, spec, alpha=args.alpha, max_order=args.max_order,
+            M=args.perm, seed=seed, grid=grid,
+        )
     except IdentificationError as exc:
         _emit("identify", config, seed, exc.trace.to_dict())
         raise
@@ -369,14 +343,12 @@ def cmd_simulate(args) -> int:
         model = VarModel(d=d, p0=p, p1=p, theta=args.ell * theta)
     else:
         model = VarModel(d=d, p0=1, p1=1, theta=np.zeros(d * d))
-    if args.innovations in ("normal", "t3", "mixture", "skewt3"):
-        innov = innovation_preset(args.innovations, d)
-    elif args.innovations == "student":
+    if args.innovations == "student":
         innov = InnovationModel.student(d, args.nu)
     else:
-        raise InputError(f"unknown innovations {args.innovations!r}")
-    eps = sample_innovations(innov, args.n + 200, d, derive_seed(seed, 2))
-    x = simulate_var(model, args.n, eps, burn_in=200)
+        innov = innovation_preset(args.innovations, d)
+    eps = sample_innovations(innov, args.n + _BURN_IN, d, derive_seed(seed, 2))
+    x = simulate_var(model, args.n, eps, burn_in=_BURN_IN)
     if args.contaminate_fraction is not None:
         if args.contaminate_size is None:
             raise InputError("--contaminate-size required with --contaminate-fraction")
@@ -436,6 +408,18 @@ def _parser() -> argparse.ArgumentParser:
     def add_seed(p):
         p.add_argument("--seed", type=int, help="RNG seed (entropy-derived if absent)")
 
+    def add_test_flags(p):
+        p.add_argument("--score", required=True,
+                       choices=["sign", "spearman", "vdw", "gaussian"])
+        p.add_argument("--alpha", type=float, default=0.05)
+        p.add_argument("--perm", type=int, metavar="M",
+                       help="permutational calibration with M permutations "
+                            "(rank scores only)")
+        p.add_argument("--sphere", action="store_true",
+                       help="use the n_S = n sphere grid (sign score only)")
+        add_grid_flags(p)
+        add_seed(p)
+
     p = sub.add_parser("grid", help="emit a center-outward grid as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -460,40 +444,20 @@ def _parser() -> argparse.ArgumentParser:
     add_data_flags(p)
     p.add_argument("--theta0", required=True, help="null parameter JSON file")
     p.add_argument("--p1", type=int, help="alternative order (default: theta0's p)")
-    p.add_argument("--score", required=True,
-                   choices=["sign", "spearman", "vdw", "gaussian"])
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--perm", type=int, metavar="M",
-                   help="permutational calibration with M permutations")
-    p.add_argument("--sphere", action="store_true",
-                   help="use the n_S = n sphere grid (sign score only)")
-    add_grid_flags(p)
-    add_seed(p)
+    add_test_flags(p)
     p.set_defaults(func=cmd_test_spec)
 
     p = sub.add_parser("test-order", help="test VAR order p0 against p1")
     add_data_flags(p)
     p.add_argument("--p0", type=int, required=True)
     p.add_argument("--p1", type=int, required=True)
-    p.add_argument("--score", required=True,
-                   choices=["sign", "spearman", "vdw", "gaussian"])
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--perm", type=int, metavar="M")
-    p.add_argument("--sphere", action="store_true")
-    add_grid_flags(p)
-    add_seed(p)
+    add_test_flags(p)
     p.set_defaults(func=cmd_test_order)
 
     p = sub.add_parser("identify", help="sequential VAR order identification")
     add_data_flags(p)
-    p.add_argument("--score", required=True,
-                   choices=["sign", "spearman", "vdw", "gaussian"])
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--max-order", type=int, dest="max_order")
-    p.add_argument("--perm", type=int, metavar="M")
-    p.add_argument("--sphere", action="store_true")
-    add_grid_flags(p)
-    add_seed(p)
+    add_test_flags(p)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("simulate", help="simulate a VAR sample to CSV")

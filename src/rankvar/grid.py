@@ -5,18 +5,20 @@ residuals onto a fixed grid of n points in the open unit ball: n_R nested
 hyperspheres with radii j/(n_R+1), each carrying the same n_S unit
 directions, plus n_0 copies of the origin (n = n_R * n_S + n_0,
 0 <= n_0 < min(n_R, n_S)).
+
+A run's grid is built from its seed in :func:`_seeded_grid` alone: substream
+3 of the seed for the ball grid, substream 4 for the sphere grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ._errors import InputError
-from ._rng import stream
+from ._rng import derive_seed, stream
 
 __all__ = ["GridFactorization", "BallGrid", "factorize", "make_grid", "make_sphere_grid"]
 
@@ -226,6 +228,15 @@ def make_sphere_grid(n: int, d: int, seed: int | None = None) -> BallGrid:
     if n < 2:
         raise GridError(f"need n >= 2, got {n}")
     return make_grid(GridFactorization(n, 1, n, 0), d, seed)
+
+
+def _seeded_grid(n: int, d: int, seed: int, sphere: bool = False, override=None) -> BallGrid:
+    """The grid of a run with master ``seed``: the sphere grid, or the ball
+    grid of ``factorize(n, d, override)``.  The override does not apply to
+    the sphere grid."""
+    if sphere:
+        return make_sphere_grid(n, d, seed=derive_seed(seed, 4))
+    return make_grid(factorize(n, d, override=override), d, seed=derive_seed(seed, 3))
 
 
 def _reconstruct_grid(points: np.ndarray) -> BallGrid:

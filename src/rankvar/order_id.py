@@ -6,18 +6,22 @@ and the same seed, so the step at p0 = 0 reproduces the standalone
 white-noise test bit for bit.  Per-step levels are not multiplicity
 adjusted; the sequential procedure controls the under-identification
 probability at alpha asymptotically.
+
+:func:`_order_test` alone picks an order test's family, the rank test of a
+ScoreSpec or the Gaussian benchmark, for this module, the CLI and the study
+engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._errors import InputError, NumericalError
-from ._rng import derive_seed, fresh_seed
+from ._rng import fresh_seed
 from .gaussian_tests import gaussian_test_order
-from .grid import BallGrid, factorize, make_grid
+from .grid import BallGrid, _seeded_grid
 from .rank_tests import TestOutcome, test_order
 from .scores import ScoreSpec
 
@@ -55,6 +59,19 @@ class IdentificationError(NumericalError):
     def __init__(self, message: str, trace: IdentificationTrace):
         super().__init__(message)
         self.trace = trace
+
+
+def _order_test(x, p0, p1, spec, grid, alpha, M, seed) -> TestOutcome:
+    """Order test of p0 against p1 in the family of ``spec``: the rank test
+    for a ScoreSpec, the Gaussian test for "gaussian", which takes no grid,
+    seed or permutations."""
+    if isinstance(spec, ScoreSpec):
+        return test_order(x, p0, p1, spec, grid, alpha=alpha, M=M, seed=seed)
+    if not isinstance(spec, str) or spec != "gaussian":
+        raise InputError(f"spec must be a ScoreSpec or 'gaussian', got {spec!r}")
+    if M is not None:
+        raise InputError("the Gaussian test has no permutational variant")
+    return gaussian_test_order(x, p0, p1, alpha=alpha)
 
 
 def identify_order(
@@ -97,15 +114,6 @@ def identify_order(
     if x.ndim != 2:
         raise InputError(f"series must be 2-d, got shape {x.shape}")
     n, d = x.shape
-    gaussian = isinstance(spec, str)
-    if gaussian:
-        if spec != "gaussian":
-            raise InputError(f"unknown test family {spec!r}")
-        if M is not None:
-            raise InputError("the Gaussian test has no permutational variant")
-    elif not isinstance(spec, ScoreSpec):
-        raise InputError("spec must be a ScoreSpec or 'gaussian'")
-
     if max_order is None:
         max_order = int(np.floor(n ** (1.0 / 3.0)))
     if max_order < 0:
@@ -116,20 +124,16 @@ def identify_order(
             f"fit, got n={n}"
         )
 
-    if seed is None:
-        seed = fresh_seed()
-    if not gaussian and grid is None:
-        grid = make_grid(factorize(n, d), d, seed=derive_seed(seed, 3))
+    if isinstance(spec, ScoreSpec):
+        if seed is None:
+            seed = fresh_seed()
+        if grid is None:
+            grid = _seeded_grid(n, d, seed)
 
     steps: list[tuple[int, TestOutcome]] = []
     for p0 in range(0, max_order + 1):
         try:
-            if gaussian:
-                outcome = gaussian_test_order(x, p0, p0 + 1, alpha=alpha)
-            else:
-                outcome = test_order(
-                    x, p0, p0 + 1, spec, grid, alpha=alpha, M=M, seed=seed
-                )
+            outcome = _order_test(x, p0, p0 + 1, spec, grid, alpha, M, seed)
         except NumericalError as exc:
             partial = IdentificationTrace(
                 steps=tuple(steps),

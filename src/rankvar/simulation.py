@@ -24,10 +24,8 @@ import numpy as np
 
 from ._errors import InputError, NumericalError
 from ._rng import derive_seed, stream
-from .gaussian_tests import gaussian_test_order
-from .grid import BallGrid, factorize, make_grid, make_sphere_grid
-from .order_id import identify_order
-from .rank_tests import test_order
+from .grid import BallGrid, _seeded_grid
+from .order_id import _order_test, identify_order
 from .scores import ScoreSpec, chisq_quantile
 from .var_algebra import VarModel, _series_scope, simulate_var
 
@@ -53,8 +51,9 @@ _STREAM_IDS = {
     ("sign", "sphere"): 4,
 }
 
-# Every valid test name: (score, grid kind, permutational?).
-_TESTS = {"gaussian": ("gaussian", "ball", False)} | {
+# Every valid test name: (score, grid kind, permutational?).  The Gaussian
+# test has no grid kind.
+_TESTS = {"gaussian": ("gaussian", None, False)} | {
     (score if kind == "ball" else f"{score}_{kind}") + suffix: (score, kind, perm)
     for score, kind in _STREAM_IDS
     for suffix, perm in (("", False), ("_bc", True))
@@ -466,20 +465,13 @@ def parse_config(path: str) -> StudyConfig:
 
 def _study_grids(config: StudyConfig) -> dict[str, BallGrid]:
     """The shared grids of a study, keyed by kind."""
-    grids: dict[str, BallGrid] = {}
-    kinds = {
-        _split_test_name(name)[1]
-        for name in config.tests
-        if _split_test_name(name)[0] != "gaussian"
-    }
-    if "ball" in kinds:
-        fact = factorize(config.n, config.d, override=config.grid_override)
-        grids["ball"] = make_grid(fact, config.d, seed=derive_seed(config.seed, 3))
-    if "sphere" in kinds:
-        grids["sphere"] = make_sphere_grid(
-            config.n, config.d, seed=derive_seed(config.seed, 4)
+    kinds = {_split_test_name(name)[1] for name in config.tests} - {None}
+    return {
+        kind: _seeded_grid(
+            config.n, config.d, config.seed, kind == "sphere", config.grid_override
         )
-    return grids
+        for kind in sorted(kinds)
+    }
 
 
 def _replicate(config: StudyConfig, grids: dict[str, BallGrid], rep: int) -> list:
@@ -508,6 +500,15 @@ def _replicate(config: StudyConfig, grids: dict[str, BallGrid], rep: int) -> lis
     return records
 
 
+def _cell_test(config, rep, ell_idx, score, kind):
+    """The test family of a score and its seed on one series; the Gaussian
+    test takes no seed."""
+    if kind is None:
+        return "gaussian", None
+    seed = derive_seed(config.seed, 7, rep, ell_idx, _STREAM_IDS[(score, kind)])
+    return ScoreSpec(kind=score), seed
+
+
 def _reject_cell(config, grids, rep, ell_idx, x) -> list:
     """White-noise test decisions for every requested test on one series."""
     records = []
@@ -518,23 +519,12 @@ def _reject_cell(config, grids, rep, ell_idx, x) -> list:
 
     for (score, kind), names in groups.items():
         want_perm = any(_split_test_name(t)[2] for t in names)
+        spec, seed_t = _cell_test(config, rep, ell_idx, score, kind)
         try:
-            if score == "gaussian":
-                out = gaussian_test_order(x, 0, config.p, alpha=config.alpha)
-            else:
-                seed_t = derive_seed(
-                    config.seed, 7, rep, ell_idx, _STREAM_IDS[(score, kind)]
-                )
-                out = test_order(
-                    x,
-                    0,
-                    config.p,
-                    ScoreSpec(kind=score),
-                    grids[kind],
-                    alpha=config.alpha,
-                    M=config.M if want_perm else None,
-                    seed=seed_t,
-                )
+            out = _order_test(
+                x, 0, config.p, spec, grids.get(kind), config.alpha,
+                config.M if want_perm else None, seed_t,
+            )
         except NumericalError:
             records.extend((t, ell_idx, None) for t in names)
             continue
@@ -552,28 +542,12 @@ def _identify_cell(config, grids, rep, ell_idx, x) -> list:
     records = []
     for name in config.tests:
         score, kind, perm = _split_test_name(name)
+        spec, seed_t = _cell_test(config, rep, ell_idx, score, kind)
         try:
-            if score == "gaussian":
-                trace = identify_order(
-                    x,
-                    "gaussian",
-                    alpha=config.alpha,
-                    max_order=config.max_order,
-                    seed=derive_seed(config.seed, 7, rep, ell_idx, 0),
-                )
-            else:
-                seed_t = derive_seed(
-                    config.seed, 7, rep, ell_idx, _STREAM_IDS[(score, kind)]
-                )
-                trace = identify_order(
-                    x,
-                    ScoreSpec(kind=score),
-                    alpha=config.alpha,
-                    max_order=config.max_order,
-                    M=config.M if perm else None,
-                    seed=seed_t,
-                    grid=grids[kind],
-                )
+            trace = identify_order(
+                x, spec, alpha=config.alpha, max_order=config.max_order,
+                M=config.M if perm else None, seed=seed_t, grid=grids.get(kind),
+            )
             records.append((name, ell_idx, trace.selected_order))
         except NumericalError:
             records.append((name, ell_idx, None))

@@ -268,6 +268,28 @@ def test_spec_gaussian_and_sphere(white_csv, tmp_path, capsys):
     assert "--score sign" in stderr
 
 
+@pytest.mark.parametrize("command", ["test-spec", "test-order", "identify"])
+def test_gaussian_refuses_permutations_and_grid_flags(white_csv, tmp_path, capsys, command):
+    extra = {
+        "test-spec": ["--theta0", write_theta0(tmp_path, 2, [np.zeros((2, 2))])],
+        "test-order": ["--p0", "0", "--p1", "1"],
+        "identify": [],
+    }[command]
+    base = [command, "--data", white_csv, "--score", "gaussian", *extra]
+    code, _, _ = run_cli(capsys, *base)
+    assert code == 0
+    for flags, fragment in [
+        (["--perm", "50"], "no permutational variant"),
+        (["--sphere"], "takes no grid"),
+        (["--nr", "3", "--ns", "3", "--n0", "0"], "takes no grid"),
+        (["--n0", "0"], "takes no grid"),
+    ]:
+        code, stdout, stderr = run_cli(capsys, *base, *flags)
+        assert code == 2
+        assert fragment in stderr
+        assert stdout == ""
+
+
 def test_spec_theta0_validation(white_csv, tmp_path, capsys):
     # p1 below the null order
     t0 = write_theta0(tmp_path, 2, [np.eye(2) * 0.1, np.eye(2) * 0.05])

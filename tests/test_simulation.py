@@ -25,7 +25,7 @@ from rankvar import (
     simulate_var,
     transport,
 )
-from rankvar import rank_tests, var_algebra
+from rankvar import rank_tests, simulation, var_algebra
 
 
 # ---------------------------------------------------------------- samplers
@@ -457,6 +457,16 @@ def test_identify_task_counts():
         assert 0.0 <= cell["correct_rate"] <= 1.0
     payload = rep.to_json_dict()
     assert payload["task"] == "identify"
+
+
+@pytest.mark.parametrize("task", ["reject", "identify"])
+def test_gaussian_only_study_builds_no_grid(task):
+    over = dict(task=task, ell=(0.0, 1.0), N=4, max_order=2)
+    alone = _small_config(tests=("gaussian",), **over)
+    assert simulation._study_grids(alone) == {}
+    paired = _small_config(tests=("gaussian", "vdw"), **over)
+    assert set(simulation._study_grids(paired)) == {"ball"}
+    assert run_study(alone).cells["gaussian"] == run_study(paired).cells["gaussian"]
 
 
 def test_grid_override_used():
