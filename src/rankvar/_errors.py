@@ -3,7 +3,8 @@
 InputError covers malformed requests (bad shapes, invalid parameters, files
 that do not parse); NumericalError covers failures of well-formed requests
 (singular matrices, non-stationary fits).  The CLI maps them to exit codes
-2 and 3 respectively.
+2 and 3 respectively.  These two, with ``order_id.IdentificationError`` (a
+NumericalError that carries a partial trace), are the whole hierarchy.
 """
 
 

@@ -187,17 +187,21 @@ def _seed_or_fresh(args) -> int:
 def _test_inputs(args):
     """The series, test family (a ScoreSpec or "gaussian"), seed and grid of
     a test subcommand.  The Gaussian test draws nothing: it gets no seed and
-    no grid, and refuses --perm and the grid flags."""
+    no grid, and refuses --perm and the grid flags.  The sphere grid refuses
+    the ball grid's --nr/--ns/--n0."""
     x = ingest_csv(args.data, diff=args.diff, demean=args.demean)
     n, d = x.shape
+    overridden = (args.nr, args.ns, args.n0) != (None, None, None)
     if args.score == "gaussian":
         if args.perm is not None:
             raise InputError("the gaussian test has no permutational variant")
-        if args.sphere or (args.nr, args.ns, args.n0) != (None, None, None):
+        if args.sphere or overridden:
             raise InputError("the gaussian test takes no grid: drop --sphere, --nr, --ns, --n0")
         return x, "gaussian", None, None
     if args.sphere and args.score != "sign":
         raise InputError("--sphere is only available for --score sign")
+    if args.sphere and overridden:
+        raise InputError("the sphere grid takes no --nr, --ns or --n0")
     seed = _seed_or_fresh(args)
     grid = _seeded_grid(n, d, seed, args.sphere, _grid_override(args))
     return x, ScoreSpec(args.score), seed, grid

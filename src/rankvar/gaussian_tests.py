@@ -130,6 +130,11 @@ def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome
     and the estimation effect removed through the blocks of
     Lambda_N = T (I kron L) T'; the limit is chi-square with
     d^2 (p1 - p0) degrees of freedom.
+
+    At p0 >= 1 the residuals are those of the raw series, with zero initial
+    values, so the first p0 rows carry the series' level.  A series whose
+    level is large against its scale should be demeaned first (the CLI's
+    ``--demean``).
     """
     x = _validate_series(x)
     n, d = x.shape

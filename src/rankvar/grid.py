@@ -23,10 +23,6 @@ from ._rng import derive_seed, stream
 __all__ = ["GridFactorization", "BallGrid", "factorize", "make_grid", "make_sphere_grid"]
 
 
-class GridError(InputError):
-    """Invalid factorization or grid construction request."""
-
-
 @dataclass(frozen=True)
 class GridFactorization:
     """Factorization n = n_R * n_S + n_0 with 0 <= n_0 < min(n_R, n_S)."""
@@ -38,13 +34,13 @@ class GridFactorization:
 
     def __post_init__(self):
         if self.n <= 0 or self.n_R <= 0 or self.n_S <= 0 or self.n_0 < 0:
-            raise GridError(f"invalid factorization {self}")
+            raise InputError(f"invalid factorization {self}")
         if self.n != self.n_R * self.n_S + self.n_0:
-            raise GridError(
+            raise InputError(
                 f"n={self.n} != n_R*n_S + n_0 = {self.n_R * self.n_S + self.n_0}"
             )
         if not self.n_0 < min(self.n_R, self.n_S):
-            raise GridError(
+            raise InputError(
                 f"n_0={self.n_0} must be < min(n_R, n_S) = {min(self.n_R, self.n_S)}"
             )
 
@@ -147,9 +143,9 @@ def factorize(n: int, d: int, override: tuple[int, int, int] | None = None) -> G
         Explicit factorization; validated against the invariants.
     """
     if n < 4:
-        raise GridError(f"need n >= 4, got {n}")
+        raise InputError(f"need n >= 4, got {n}")
     if d < 1:
-        raise GridError(f"need d >= 1, got {d}")
+        raise InputError(f"need d >= 1, got {d}")
     if override is not None:
         return GridFactorization(n, *map(int, override))
     n_R = n // 2 if d == 1 else round(n ** (1.0 / d))
@@ -160,7 +156,7 @@ def factorize(n: int, d: int, override: tuple[int, int, int] | None = None) -> G
         if n_0 < min(n_R, n_S):
             return GridFactorization(n, n_R, n_S, n_0)
         n_R -= 1
-    raise GridError(f"no admissible factorization for n={n}")  # unreachable for n >= 4
+    raise InputError(f"no admissible factorization for n={n}")  # unreachable for n >= 4
 
 
 def _directions(n_S: int, d: int, seed) -> tuple[np.ndarray, bool]:
@@ -226,7 +222,7 @@ def make_sphere_grid(n: int, d: int, seed: int | None = None) -> BallGrid:
     directions, so any common radius would do.
     """
     if n < 2:
-        raise GridError(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     return make_grid(GridFactorization(n, 1, n, 0), d, seed)
 
 
@@ -253,12 +249,12 @@ def _reconstruct_grid(points: np.ndarray) -> BallGrid:
     nz = np.sort(np.unique(np.round(norms[~origin], 9)))
     n_R = nz.size
     if n_R == 0:
-        raise GridError("grid points are all at the origin")
+        raise InputError("grid points are all at the origin")
     expected = np.arange(1, n_R + 1) / (n_R + 1)
     if np.max(np.abs(nz - expected)) > 1e-9:
-        raise GridError("grid radii are not the equispaced j/(n_R+1) family")
+        raise InputError("grid radii are not the equispaced j/(n_R+1) family")
     if (n - n_0) % n_R != 0:
-        raise GridError("grid points do not split evenly across radius levels")
+        raise InputError("grid points do not split evenly across radius levels")
     n_S = (n - n_0) // n_R
     fact = GridFactorization(n, n_R, n_S, n_0)
     ranks = np.zeros(n, dtype=int)
@@ -268,7 +264,7 @@ def _reconstruct_grid(points: np.ndarray) -> BallGrid:
     signs[live] = points[live] / norms[live, None]
     per_level = np.bincount(ranks[live], minlength=n_R + 1)[1:]
     if np.any(per_level != n_S):
-        raise GridError("grid radius levels carry unequal direction counts")
+        raise InputError("grid radius levels carry unequal direction counts")
     nonzero = points[live]
     key = np.lexsort(nonzero.T)
     key_neg = np.lexsort((-nonzero).T)

@@ -63,14 +63,16 @@ class IdentificationError(NumericalError):
 
 def _order_test(x, p0, p1, spec, grid, alpha, M, seed) -> TestOutcome:
     """Order test of p0 against p1 in the family of ``spec``: the rank test
-    for a ScoreSpec, the Gaussian test for "gaussian", which takes no grid,
-    seed or permutations."""
+    for a ScoreSpec, the Gaussian test for "gaussian", which refuses a grid
+    and permutations and leaves the seed unused."""
     if isinstance(spec, ScoreSpec):
         return test_order(x, p0, p1, spec, grid, alpha=alpha, M=M, seed=seed)
     if not isinstance(spec, str) or spec != "gaussian":
         raise InputError(f"spec must be a ScoreSpec or 'gaussian', got {spec!r}")
     if M is not None:
         raise InputError("the Gaussian test has no permutational variant")
+    if grid is not None:
+        raise InputError("the Gaussian test takes no grid")
     return gaussian_test_order(x, p0, p1, alpha=alpha)
 
 
@@ -100,9 +102,11 @@ def identify_order(
         Permutation count for rank scores; asymptotic calibration if None.
     seed : int, optional
         Seed shared by every step (and by the grid construction when no
-        grid is supplied); entropy-derived if None.
+        grid is supplied); entropy-derived if None.  The Gaussian test
+        draws nothing and leaves it unused.
     grid : BallGrid, optional
         Grid for the rank couplings; built from factorize(n, d) by default.
+        The Gaussian test refuses one.
 
     Raises
     ------

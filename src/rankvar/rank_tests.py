@@ -37,7 +37,6 @@ model's numbers are the ones it would get alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -72,8 +71,6 @@ __all__ = ["TestOutcome", "test_specified", "test_order"]
 # Permutation batches are processed in fixed-size chunks so that the per-time
 # score arrays stay comfortably in memory at M = 5000, n = 800.
 _PERM_CHUNK = 1024
-
-_EXHAUSTIVE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -172,32 +169,24 @@ def _block_gram(a: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return (a.reshape(r, -1, cov.shape[0]) @ cov).reshape(r, -1) @ a.T
 
 
-def _iter_perm_chunks(n: int, M: int | None, seed: int, exhaustive: bool):
-    """Yield (B, n) permutation arrays, chunked.
+def _iter_perm_chunks(n: int, M: int, seed: int):
+    """Yield M random permutations of range(n) from the seeded stream, as
+    (B, n) chunks of at most ``_PERM_CHUNK`` rows, each chunk shuffled row
+    by row in place.
 
-    Random permutations come from the seeded stream, each chunk shuffled
-    row by row in place; exhaustive enumeration walks all n! permutations
-    (n <= 8).  A rank test advances this generator on a worker thread
+    A rank test advances this generator on a worker thread
     (:func:`_permutations`), one chunk at a time and in order, so the
     stream and every permutation are the same as when it runs inline.
     """
-    if exhaustive:
-        it = itertools.permutations(range(n))
-        while True:
-            chunk = list(itertools.islice(it, _PERM_CHUNK))
-            if not chunk:
-                return
-            yield np.array(chunk, dtype=np.intp)
-    else:
-        rng = stream(seed, 11)
-        remaining = M
-        base = np.arange(n)
-        while remaining > 0:
-            size = min(_PERM_CHUNK, remaining)
-            chunk = np.tile(base, (size, 1))
-            rng.permuted(chunk, axis=1, out=chunk)
-            yield chunk
-            remaining -= size
+    rng = stream(seed, 11)
+    remaining = M
+    base = np.arange(n)
+    while remaining > 0:
+        size = min(_PERM_CHUNK, remaining)
+        chunk = np.tile(base, (size, 1))
+        rng.permuted(chunk, axis=1, out=chunk)
+        yield chunk
+        remaining -= size
 
 
 def _snap_ties(values: np.ndarray) -> np.ndarray:
@@ -262,31 +251,24 @@ def _validate_inputs(x, grid: BallGrid, alpha: float) -> np.ndarray:
 
 
 @contextmanager
-def _permutations(n, M, seed, exhaustive):
-    """The permutation count, seed and chunks of a rank test.
+def _permutations(n, M, seed):
+    """The seed and permutation chunks of a rank test.
 
-    Yields (M, seed, chunks), all None for asymptotic calibration.  One
-    worker thread draws the chunks of :func:`_iter_perm_chunks` ahead: the
-    first from the moment the test enters this context, each later one
-    while the caller evaluates the chunk before it.  Only the worker
-    advances the generator, in order.  It is joined when the context
-    exits, on return or raise.
+    Yields (seed, chunks), with a fresh seed when ``seed`` is None, or
+    (None, None) for asymptotic calibration (M None).  One worker thread
+    draws the chunks of :func:`_iter_perm_chunks` ahead: the first from the
+    moment the test enters this context, each later one while the caller
+    evaluates the chunk before it.  Only the worker advances the generator,
+    in order.  It is joined when the context exits, on return or raise.
     """
-    if exhaustive:
-        if n > _EXHAUSTIVE_LIMIT:
-            raise InputError(
-                f"exhaustive calibration enumerates n! permutations; n={n} > "
-                f"{_EXHAUSTIVE_LIMIT}"
-            )
-        M, seed = math.factorial(n), 0
-    elif M is None:
-        yield None, None, None
+    if M is None:
+        yield None, None
         return
-    elif M < 1:
+    if M < 1:
         raise InputError(f"need a positive permutation count, got {M}")
-    elif seed is None:
+    if seed is None:
         seed = fresh_seed()
-    chunks = _iter_perm_chunks(n, M, seed, exhaustive)
+    chunks = _iter_perm_chunks(n, M, seed)
     with ThreadPoolExecutor(1) as pool:
 
         def drawn(ahead):
@@ -294,7 +276,7 @@ def _permutations(n, M, seed, exhaustive):
                 ahead = pool.submit(next, chunks, None)
                 yield chunk
 
-        yield M, seed, drawn(pool.submit(next, chunks, None))
+        yield seed, drawn(pool.submit(next, chunks, None))
 
 
 def _meta(score: str, n: int, d: int, p0: int, p1: int, M=None, seed=None) -> dict:
@@ -393,26 +375,25 @@ def test_specified(
     alpha: float = 0.05,
     M: int | None = None,
     seed: int | None = None,
-    exhaustive: bool = False,
 ) -> TestOutcome:
     """Rank test of the simple null theta = theta0 within a VAR(p1) frame.
 
     The statistic is S = H' (Q'(I (x) C) Q)^{-1} H with
     H = sum_i (n-i)^{1/2} Q_i' vec(Gamma_i - m); under the null it is
-    asymptotically chi-square with d^2 p1 degrees of freedom.  With M given
-    (or ``exhaustive``), the test is calibrated by permuting the grid
-    assignment, which is exact at any n.
+    asymptotically chi-square with d^2 p1 degrees of freedom.  With M given,
+    the test is calibrated by permuting the grid assignment, which is exact
+    at any n.
     """
     x = _validate_inputs(x, grid, alpha)
     n, d = x.shape
     if theta0.d != d:
         raise InputError(f"theta0 has d={theta0.d}, series has d={d}")
-    with _permutations(n, M, seed, exhaustive) as (M_eff, seed, perms):
+    with _permutations(n, M, seed) as (seed, perms):
         table, m_vec = _scores_and_centering(spec, grid)
         s, ops, _ = _deltas([theta0], x, table, grid, m_vec)
         a = ops.Q.T
         k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
-        meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M_eff, seed)
+        meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M, seed)
         return _outcome(s, m_vec, a, k_inv, d * d * theta0.p1, alpha, meta, perms)
 
 
@@ -482,7 +463,6 @@ def test_order(
     alpha: float = 0.05,
     M: int | None = None,
     seed: int | None = None,
-    exhaustive: bool = False,
 ) -> TestOutcome:
     """Rank test of VAR order p0 against order p1 > p0.
 
@@ -494,6 +474,11 @@ def test_order(
     statistic W is the quadratic form of the residual part; asymptotically
     chi-square with d^2 (p1 - p0) degrees of freedom.  Permutations reuse
     the fit and Upsilon, permuting only the grid assignment.
+
+    At p0 >= 1 the residuals are those of the raw series, with zero initial
+    values, so the first p0 rows carry the series' level.  A series whose
+    level is large against its scale should be demeaned first (the CLI's
+    ``--demean``).
     """
     x = _validate_inputs(x, grid, alpha)
     n, d = x.shape
@@ -502,11 +487,9 @@ def test_order(
 
     if p0 == 0:
         null = VarModel(d=d, p0=0, p1=p1, theta=np.zeros(p1 * d * d))
-        return test_specified(
-            x, null, spec, grid, alpha=alpha, M=M, seed=seed, exhaustive=exhaustive
-        )
+        return test_specified(x, null, spec, grid, alpha=alpha, M=M, seed=seed)
 
-    with _permutations(n, M, seed, exhaustive) as (M_eff, seed, perms):
+    with _permutations(n, M, seed) as (seed, perms):
         theta_hat = fit_constrained_ls(x, p0, p1)
         table, m_vec = _scores_and_centering(spec, grid)
         models, steps = _perturbations(theta_hat, n)
@@ -530,5 +513,5 @@ def test_order(
         k_inv = _solve_spd(
             _block_gram(a, score_covariance(spec, d)), "Lambda*_II", ridge=True
         )
-        meta = _meta(spec.kind, n, d, p0, p1, M_eff, seed)
+        meta = _meta(spec.kind, n, d, p0, p1, M, seed)
         return _outcome(s, m_vec, a, k_inv, d2 * (p1 - p0), alpha, meta, perms)

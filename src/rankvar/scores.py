@@ -33,10 +33,6 @@ _KINDS = ("sign", "spearman", "vdw")
 # sign: 1; spearman: 1/3; vdw: E[chi2_d] = d (as a function of d).
 
 
-class ScoreError(InputError):
-    """Invalid score evaluation request."""
-
-
 @dataclass(frozen=True)
 class ScoreSpec:
     """One of the three standard spherical scores.
@@ -49,7 +45,7 @@ class ScoreSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ScoreError(f"unknown score kind {self.kind!r}; use one of {_KINDS}")
+            raise InputError(f"unknown score kind {self.kind!r}; use one of {_KINDS}")
 
     def radial_second_moment(self, d: int) -> float:
         if self.kind == "sign":
@@ -74,7 +70,7 @@ def chisq_quantile(df: float, p):
     """
     pp = np.asarray(p, dtype=float)
     if np.any((pp <= 0.0) | (pp >= 1.0)):
-        raise ScoreError("probability must lie strictly in (0, 1)")
+        raise InputError("probability must lie strictly in (0, 1)")
     x = 2.0 * gammaincinv(df / 2.0, pp)
     return float(x) if pp.ndim == 0 else x
 
@@ -97,7 +93,7 @@ def grid_scores(spec: ScoreSpec, which: int, grid: BallGrid) -> np.ndarray:
     Radial values are computed once per distinct radius.
     """
     if which not in (1, 2):
-        raise ScoreError(f"which must be 1 or 2, got {which}")
+        raise InputError(f"which must be 1 or 2, got {which}")
     if spec.kind == "spearman":
         return grid.points.copy()
     if spec.kind == "sign":

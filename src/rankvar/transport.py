@@ -55,10 +55,6 @@ from .var_algebra import _pow2_scaled, _shared
 __all__ = ["Coupling", "solve_coupling", "coupling_cost"]
 
 
-class TransportError(InputError):
-    """Invalid coupling request (dimension or size mismatch, bad input)."""
-
-
 @dataclass(frozen=True)
 class Coupling:
     """An assignment of n observations to the n gridpoints.
@@ -221,14 +217,14 @@ def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
     exact solve and tie canonicalization."""
     z = np.asarray(residuals, dtype=float)
     if z.ndim != 2:
-        raise TransportError(f"residuals must be 2-d, got shape {z.shape}")
+        raise InputError(f"residuals must be 2-d, got shape {z.shape}")
     n, d = z.shape
     if n != grid.n:
-        raise TransportError(f"{n} residuals vs grid of size {grid.n}")
+        raise InputError(f"{n} residuals vs grid of size {grid.n}")
     if d != grid.d:
-        raise TransportError(f"residual dimension {d} vs grid dimension {grid.d}")
+        raise InputError(f"residual dimension {d} vs grid dimension {grid.d}")
     if not np.isfinite(z).all():
-        raise TransportError("non-finite residual entries")
+        raise InputError("non-finite residual entries")
 
     def solve() -> Coupling:
         scaled = _pow2_scaled(z)
@@ -292,6 +288,6 @@ def coupling_cost(c: Coupling, residuals: np.ndarray) -> float:
     """Total squared transport cost sum_t ||Z_t - F(Z_t)||^2."""
     z = np.asarray(residuals, dtype=float)
     if z.shape != c.f_values.shape:
-        raise TransportError(f"residual shape {z.shape} vs coupling {c.f_values.shape}")
+        raise InputError(f"residual shape {z.shape} vs coupling {c.f_values.shape}")
     diff = z - c.f_values
     return float((diff * diff).sum())

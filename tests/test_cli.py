@@ -268,14 +268,18 @@ def test_spec_gaussian_and_sphere(white_csv, tmp_path, capsys):
     assert "--score sign" in stderr
 
 
-@pytest.mark.parametrize("command", ["test-spec", "test-order", "identify"])
-def test_gaussian_refuses_permutations_and_grid_flags(white_csv, tmp_path, capsys, command):
-    extra = {
+def command_flags(command, tmp_path):
+    """The flags a test subcommand needs besides --data and the test flags."""
+    return {
         "test-spec": ["--theta0", write_theta0(tmp_path, 2, [np.zeros((2, 2))])],
         "test-order": ["--p0", "0", "--p1", "1"],
         "identify": [],
     }[command]
-    base = [command, "--data", white_csv, "--score", "gaussian", *extra]
+
+
+@pytest.mark.parametrize("command", ["test-spec", "test-order", "identify"])
+def test_gaussian_refuses_permutations_and_grid_flags(white_csv, tmp_path, capsys, command):
+    base = [command, "--data", white_csv, "--score", "gaussian", *command_flags(command, tmp_path)]
     code, _, _ = run_cli(capsys, *base)
     assert code == 0
     for flags, fragment in [
@@ -287,6 +291,19 @@ def test_gaussian_refuses_permutations_and_grid_flags(white_csv, tmp_path, capsy
         code, stdout, stderr = run_cli(capsys, *base, *flags)
         assert code == 2
         assert fragment in stderr
+        assert stdout == ""
+
+
+@pytest.mark.parametrize("command", ["test-spec", "test-order", "identify"])
+def test_sphere_refuses_grid_override(white_csv, tmp_path, capsys, command):
+    base = [command, "--data", white_csv, "--score", "sign", "--sphere", "--seed", "2",
+            *command_flags(command, tmp_path)]
+    code, _, _ = run_cli(capsys, *base)
+    assert code == 0
+    for flags in (["--nr", "10", "--ns", "10", "--n0", "0"], ["--ns", "10"]):
+        code, stdout, stderr = run_cli(capsys, *base, *flags)
+        assert code == 2
+        assert "sphere grid takes no" in stderr
         assert stdout == ""
 
 

@@ -12,6 +12,7 @@ from rankvar import (
     make_grid,
     simulate_var,
 )
+from rankvar.order_id import _order_test
 
 A1 = np.array([[0.30, 0.12], [-0.06, 0.24]])
 
@@ -76,6 +77,15 @@ def test_gaussian_routing():
         identify_order(x, "student")
     with pytest.raises(InputError):
         identify_order(x, object())
+
+
+def test_gaussian_refuses_a_grid():
+    x = np.random.default_rng(2).standard_normal((100, 2))
+    grid = make_grid(factorize(100, 2), 2)
+    with pytest.raises(InputError, match="takes no grid"):
+        identify_order(x, "gaussian", grid=grid)
+    with pytest.raises(InputError, match="takes no grid"):
+        _order_test(x, 0, 1, "gaussian", grid, 0.05, None, None)
 
 
 def test_partial_trace_on_numerical_failure():

@@ -111,8 +111,16 @@ def enumerate_specified_stats(x, theta0, grid, spec):
     return np.array(vals), L
 
 
+def all_permutations(n, M, seed):
+    """Every permutation of range(n), in one chunk: a stand-in for the
+    seeded draw of ``_iter_perm_chunks`` when M = n!."""
+    assert M == math.factorial(n)
+    yield np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+
+
 @pytest.mark.parametrize("kind", ["sign", "spearman", "vdw"])
-def test_exhaustive_calibration_matches_enumeration(kind):
+def test_calibration_over_all_permutations_matches_enumeration(monkeypatch, kind):
+    monkeypatch.setattr(rank_tests, "_iter_perm_chunks", all_permutations)
     spec = ScoreSpec(kind)
     var1 = VarModel.from_matrices([np.array([[0.5, 0.1], [0.0, 0.4]])], p1=2)
     # white noise at lag 1 (n = 4), and a VAR(1) null in a VAR(2) frame
@@ -120,7 +128,7 @@ def test_exhaustive_calibration_matches_enumeration(kind):
     for theta0, n, lags in ((ZERO2, 4, 1), (var1, 7, 6)):
         grid = make_grid(factorize(n, 2), 2)
         x = np.random.default_rng(7).standard_normal((n, 2))
-        out = rv.test_specified(x, theta0, spec, grid, exhaustive=True)
+        out = rv.test_specified(x, theta0, spec, grid, M=math.factorial(n), seed=0)
         stats, L = enumerate_specified_stats(x, theta0, grid, spec)
         assert L == lags
         assert out.meta["M"] == math.factorial(n)
@@ -132,23 +140,51 @@ def test_exhaustive_calibration_matches_enumeration(kind):
         assert np.isclose(out.p_permutational, p_expected, atol=1e-9)
 
 
-def test_statistics_are_shift_and_scale_invariant():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((60, 2))
-    grid = make_grid(factorize(60, 2), 2)
+def t3_series(n, seeds):
+    """Heavy-tailed (Student t3) bivariate white noise, one series per seed."""
+    return [np.random.default_rng(seed).standard_t(3, (n, 2)) for seed in seeds]
 
-    # white-noise residuals are the data itself, so shift and scale are exact
-    y = 3.7 * x + np.array([5.0, -2.0])
-    s_x = rv.test_specified(x, ZERO2, ScoreSpec("vdw"), grid)
-    s_y = rv.test_specified(y, ZERO2, ScoreSpec("vdw"), grid)
-    assert np.isclose(s_x.statistic, s_y.statistic, atol=1e-10)
+
+def test_statistics_are_shift_and_scale_invariant():
+    # at p0 = 0 the residuals are the data; a shift adds only a column term
+    # to the coupling cost and a positive scale does not move its optimum,
+    # so the assignment, every permuted statistic and p_perm stay bit for bit
+    grid = make_grid(factorize(120, 2), 2)
+    for kind in ("sign", "spearman", "vdw"):
+        for x in t3_series(120, range(5)):
+            y = 3.7 * x + np.array([5.0, -2.0])
+            a = rv.test_order(x, 0, 1, ScoreSpec(kind), grid, M=99, seed=8)
+            b = rv.test_order(y, 0, 1, ScoreSpec(kind), grid, M=99, seed=8)
+            assert b.statistic == a.statistic
+            assert b.p_permutational == a.p_permutational
 
     # the fitted test is exactly invariant to scale; a shift is only
     # asymptotically neutral because the first p0 residual rows filter
     # truncated lags
+    x = np.random.default_rng(12).standard_normal((60, 2))
+    grid = make_grid(factorize(60, 2), 2)
     w_x = rv.test_order(x, 1, 2, ScoreSpec("spearman"), grid)
     w_y = rv.test_order(3.7 * x, 1, 2, ScoreSpec("spearman"), grid)
     assert np.isclose(w_x.statistic, w_y.statistic, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["sign", "spearman", "vdw"])
+def test_white_noise_statistic_follows_the_grid_symmetries(kind):
+    # the d = 2 grid is closed under rotation by 2 pi / n_S and under
+    # (x, y) -> (x, -y); transforming the data the same way maps each
+    # assignment onto the transformed gridpoints, whose scores are the
+    # transformed scores, and the statistic is invariant to that
+    fact = factorize(120, 2)
+    grid = make_grid(fact, 2)
+    spec = ScoreSpec(kind)
+    ang = 2.0 * np.pi / fact.n_S
+    rotate = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    reflect = np.diag([1.0, -1.0])
+    for x in t3_series(120, range(5)):
+        base = rv.test_order(x, 0, 1, spec, grid).statistic
+        for g in (rotate, reflect):
+            moved = rv.test_order(x @ g.T, 0, 1, spec, grid).statistic
+            assert moved == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12, 1e15, 1e100, 1e300])
@@ -350,8 +386,6 @@ def test_input_validation():
         rv.test_specified(x, ZERO2, spec, grid, alpha=1.5)
     with pytest.raises(InputError):
         rv.test_specified(x, ZERO2, spec, grid, M=0)
-    with pytest.raises(InputError):
-        rv.test_specified(x, ZERO2, spec, grid, exhaustive=True)  # n = 20 > 8
     theta3 = VarModel(d=3, p0=0, p1=1, theta=np.zeros(9))
     with pytest.raises(InputError):
         rv.test_specified(x, theta3, spec, grid)
@@ -433,7 +467,7 @@ def test_non_finite_statistic_is_a_numerical_error(M):
     s = np.random.default_rng(3).standard_normal((30, 2))
     s[7] = np.nan
     eye = np.eye(4)
-    perms = None if M is None else rank_tests._iter_perm_chunks(30, M, 1, False)
+    perms = None if M is None else rank_tests._iter_perm_chunks(30, M, 1)
     with pytest.raises(rv.NumericalError, match="non-finite statistic"):
         rv.rank_tests._outcome(s, 0.0, eye, eye, 4, 0.05, {}, perms)
 
@@ -499,10 +533,6 @@ def test_no_worker_thread_outlives_a_test(monkeypatch):
     rv.test_order(x, 0, 1, spec, grid, M=99, seed=1)
     assert threading.active_count() == baseline
     assert drawn_on and threading.main_thread() not in drawn_on
-
-    grid6 = make_grid(factorize(6, 2), 2)
-    rv.test_specified(x[:6], ZERO2, spec, grid6, exhaustive=True)
-    assert threading.active_count() == baseline
 
     with pytest.raises(InputError, match="all equal"):
         rv.test_order(np.full((60, 2), 7.5), 0, 1, spec, grid, M=99, seed=1)
