@@ -339,6 +339,10 @@ def cmd_identify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.p is not None and args.theta is None:
+        raise InputError("--p needs --theta")
+    if (args.contaminate_fraction is None) != (args.contaminate_size is None):
+        raise InputError("--contaminate-fraction and --contaminate-size must be given together")
     seed = _seed_or_fresh(args)
     d = args.d
     if args.theta is not None:
@@ -354,8 +358,6 @@ def cmd_simulate(args) -> int:
     eps = sample_innovations(innov, args.n + _BURN_IN, d, derive_seed(seed, 2))
     x = simulate_var(model, args.n, eps, burn_in=_BURN_IN)
     if args.contaminate_fraction is not None:
-        if args.contaminate_size is None:
-            raise InputError("--contaminate-size required with --contaminate-fraction")
         spec = ContaminationSpec(args.contaminate_fraction, _floats(args.contaminate_size))
         x = contaminate(x, spec)
     _write_matrix_csv(args.out, x)

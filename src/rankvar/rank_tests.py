@@ -16,14 +16,15 @@ assignment (the identity permutation) and for permuted ones alike;
 builds its A and K, from operator matrices that already stop at the lag
 horizon.
 
-The permutations depend only on (n, M, seed), not on the data, so a
-permutational test starts drawing them on one worker thread as soon as it
-knows it needs them (:func:`_permutations`): the first chunk is drawn
-while the test fits and couples, each later one while :func:`_outcome`
-evaluates the chunk before it.  Only the worker advances the one seeded
-generator, in order, so every permutation and p-value is the one an
-inline draw gives.  The worker lives for one test call and is joined
-before the test returns or raises.
+The permutations depend only on (n, M, seed), not on the data.  A
+permutational test draws all M as one (M, n) array on one worker thread
+(:func:`_permutations`) while it fits and couples, and :func:`_outcome`
+evaluates the array in blocks of ``_PERM_CHUNK`` rows.  The array takes
+8 M n bytes: 0.3 MB at M = 199, n = 200, but 32 MB at M = 5000, n = 800.
+Inside a series scope (:func:`var_algebra._series_scope`) it is drawn
+once per (n, M, seed) and kept until the scope closes, so the steps of an
+identification share one draw.  The worker lives for one test call and
+is joined before the test returns or raises.
 
 The order test removes the estimation effect with a finite-difference
 cross-information Upsilon, which needs the central sequence Delta at the
@@ -68,8 +69,8 @@ from .var_algebra import (
 
 __all__ = ["TestOutcome", "test_specified", "test_order"]
 
-# Permutation batches are processed in fixed-size chunks so that the per-time
-# score arrays stay comfortably in memory at M = 5000, n = 800.
+# Permuted statistics are evaluated in blocks of this many rows, so that the
+# (B, n, d) score gather stays comfortably in memory at M = 5000, n = 800.
 _PERM_CHUNK = 1024
 
 
@@ -169,24 +170,12 @@ def _block_gram(a: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return (a.reshape(r, -1, cov.shape[0]) @ cov).reshape(r, -1) @ a.T
 
 
-def _iter_perm_chunks(n: int, M: int, seed: int):
-    """Yield M random permutations of range(n) from the seeded stream, as
-    (B, n) chunks of at most ``_PERM_CHUNK`` rows, each chunk shuffled row
-    by row in place.
-
-    A rank test advances this generator on a worker thread
-    (:func:`_permutations`), one chunk at a time and in order, so the
-    stream and every permutation are the same as when it runs inline.
-    """
-    rng = stream(seed, 11)
-    remaining = M
-    base = np.arange(n)
-    while remaining > 0:
-        size = min(_PERM_CHUNK, remaining)
-        chunk = np.tile(base, (size, 1))
-        rng.permuted(chunk, axis=1, out=chunk)
-        yield chunk
-        remaining -= size
+def _draw_permutations(n: int, M: int, seed: int) -> np.ndarray:
+    """M random permutations of range(n) from the seeded stream, as an
+    (M, n) array shuffled row by row in place."""
+    perms = np.tile(np.arange(n), (M, 1))
+    stream(seed, 11).permuted(perms, axis=1, out=perms)
+    return perms
 
 
 def _snap_ties(values: np.ndarray) -> np.ndarray:
@@ -252,14 +241,15 @@ def _validate_inputs(x, grid: BallGrid, alpha: float) -> np.ndarray:
 
 @contextmanager
 def _permutations(n, M, seed):
-    """The seed and permutation chunks of a rank test.
+    """The seed and the permutations of a rank test.
 
-    Yields (seed, chunks), with a fresh seed when ``seed`` is None, or
-    (None, None) for asymptotic calibration (M None).  One worker thread
-    draws the chunks of :func:`_iter_perm_chunks` ahead: the first from the
-    moment the test enters this context, each later one while the caller
-    evaluates the chunk before it.  Only the worker advances the generator,
-    in order.  It is joined when the context exits, on return or raise.
+    Yields (seed, future), with a fresh seed when ``seed`` is None, or
+    (None, None) for asymptotic calibration (M None).  The future holds
+    the array of :func:`_draw_permutations`, drawn on one worker thread
+    from the moment the test enters this context.  Inside a series scope
+    an earlier test's future with the same (n, M, seed) is returned
+    instead (:func:`_shared`), and no worker starts.  The worker is joined
+    when the context exits, on return or raise.
     """
     if M is None:
         yield None, None
@@ -268,15 +258,10 @@ def _permutations(n, M, seed):
         raise InputError(f"need a positive permutation count, got {M}")
     if seed is None:
         seed = fresh_seed()
-    chunks = _iter_perm_chunks(n, M, seed)
     with ThreadPoolExecutor(1) as pool:
-
-        def drawn(ahead):
-            while (chunk := ahead.result()) is not None:
-                ahead = pool.submit(next, chunks, None)
-                yield chunk
-
-        yield seed, drawn(pool.submit(next, chunks, None))
+        yield seed, _shared(
+            ("permutations", n, M, seed), lambda: pool.submit(_draw_permutations, n, M, seed)
+        )
 
 
 def _meta(score: str, n: int, d: int, p0: int, p1: int, M=None, seed=None) -> dict:
@@ -287,12 +272,12 @@ def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
     """Evaluate h' K^{-1} h, h = A v, and calibrate it.
 
     The lag horizon is the width of A in d^2 blocks.  The observed
-    statistic is the identity permutation's value; with ``perms``, an
-    iterable of (B, n) permutation chunks (see :func:`_permutations`, whose
-    worker draws the next chunk while this evaluates the current one), the
-    same kernel evaluates the permuted assignments and the test is
-    calibrated on them, otherwise on the chi-square(df) limit.  A
-    non-finite statistic raises :class:`NumericalError`.
+    statistic is the identity permutation's value; with ``perms``, a
+    future of an (M, n) permutation array (see :func:`_permutations`), the
+    same kernel evaluates the permuted assignments, ``_PERM_CHUNK`` rows at
+    a time, and the test is calibrated on them, otherwise on the
+    chi-square(df) limit.  A non-finite statistic raises
+    :class:`NumericalError`.
     """
     n, d = s.shape
     L = a.shape[1] // (d * d)
@@ -308,7 +293,10 @@ def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
     if perms is None:
         p_perm, cv = None, float(chisq_quantile(df, 1.0 - alpha))
     else:
-        stats = np.concatenate([forms(chunk) for chunk in perms])
+        rows = perms.result()
+        stats = np.concatenate(
+            [forms(rows[i : i + _PERM_CHUNK]) for i in range(0, len(rows), _PERM_CHUNK)]
+        )
         p_perm, cv = _permutation_calibration(stats, statistic, alpha)
     return TestOutcome(
         statistic=statistic,

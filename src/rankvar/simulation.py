@@ -9,9 +9,9 @@ matter how many workers share it.  All tests of one simulated series fit
 the same parameters and couple the same residuals to the same grids, so
 each series runs its tests in one scope (:func:`var_algebra._series_scope`)
 that computes once what they compute from the series and a parameter
-alone: the optimal couplings, the operator matrices of every model and the
-finite-difference perturbations of every fit.  Nothing is shared across
-series.
+alone: the optimal couplings, the operator matrices of every model, the
+finite-difference perturbations of every fit and the permutations of each
+(n, M, seed).  Nothing is shared across series.
 """
 
 from __future__ import annotations
@@ -343,6 +343,13 @@ _CONFIG_KEYS = {
     "grid.nr", "grid.ns", "grid.n0",
 }
 
+# The innovation keys each parametric kind reads; the presets read none.
+_INNOVATION_KEYS = {
+    "gaussian": {"innovations.sigma"},
+    "student": {"innovations.nu"},
+    "skewt": {"innovations.sigma", "innovations.xi", "innovations.alpha", "innovations.nu"},
+}
+
 
 def _floats(text: str) -> list[float]:
     """The comma- or space-separated numbers of ``text``; at least one."""
@@ -360,7 +367,8 @@ def parse_config(path: str) -> StudyConfig:
 
     Lines are ``key = value`` with ``#`` comments; list values are
     comma-separated.  Innovation parameters may be given inline (sigma
-    row-major, nu, xi, alpha) or left to the named presets.
+    row-major, nu, xi, alpha) or left to the named presets; a key the
+    kind does not read is refused.
     """
     raw: dict[str, str] = {}
     try:
@@ -427,6 +435,10 @@ def parse_config(path: str) -> StudyConfig:
         )
     else:
         raise InputError(f"unknown innovations.kind {kind!r}")
+    read = _INNOVATION_KEYS.get(kind, set()) | {"innovations.kind"}
+    ignored = sorted(key for key in raw if key.startswith("innovations.") and key not in read)
+    if ignored:
+        raise InputError(f"innovations.kind = {kind} does not read {ignored[0]}")
 
     contamination = None
     if "contamination.fraction" in raw or "contamination.size" in raw:
@@ -636,11 +648,14 @@ def run_study(config: StudyConfig) -> StudyReport:
     (None means one); results are identical for any worker count because
     each replication derives its randomness from (seed, replication index)
     alone.  The tests of one simulated series share its couplings, operator
-    matrices and perturbations (see the module docstring), which changes no
-    result.
+    matrices, perturbations and permutations (see the module docstring),
+    which changes no result.  A permutational (``_bc``) test needs M.
     """
     if config.innovations is None:
         raise InputError("config has no innovation model")
+    needs_m = [name for name in config.tests if _split_test_name(name)[2]]
+    if needs_m and config.M is None:
+        raise InputError(f"test {needs_m[0]!r} is permutational and needs M")
     grids = _study_grids(config)
     threads = 1 if config.threads is None else config.threads
     if threads < 1:

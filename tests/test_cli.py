@@ -509,10 +509,25 @@ def test_simulate_defaults_and_contamination(tmp_path, capsys):
                               "--out", str(out))
     assert code == 2
     assert "--contaminate-size" in stderr
+    code, _, stderr = run_cli(capsys, "simulate", "--n", "100", "--d", "2",
+                              "--seed", "9", "--contaminate-size", "9,9",
+                              "--out", str(out))
+    assert code == 2
+    assert "--contaminate-fraction" in stderr
     code, _, _ = run_cli(capsys, "simulate", "--n", "100", "--d", "2",
                          "--seed", "9", "--contaminate-fraction", "0.05",
                          "--contaminate-size", "9,9", "--out", str(out))
     assert code == 0
+
+
+def test_simulate_refuses_an_order_without_coefficients(tmp_path, capsys):
+    # --p alone used to write white noise and report "p": 1
+    out = tmp_path / "s.csv"
+    code, _, stderr = run_cli(capsys, "simulate", "--n", "100", "--d", "2",
+                              "--p", "2", "--seed", "9", "--out", str(out))
+    assert code == 2
+    assert "--p needs --theta" in stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -571,6 +586,20 @@ def test_mc_bad_config(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "mc", "--config", str(cfg))
     assert code == 2
     assert "missing required key" in stderr
+
+
+def test_mc_refuses_a_permutational_test_without_M(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "dgp.d = 2\ndgp.p = 1\ndgp.theta = 0.3, 0.1, -0.1, 0.2\n"
+        "innovations.kind = normal\ntests = sign, sign_bc\n"
+        f"n = 60\nN = 4\nseed = 9\nout = {out}\n"
+    )
+    code, _, stderr = run_cli(capsys, "mc", "--config", str(cfg))
+    assert code == 2
+    assert "needs M" in stderr
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- misc

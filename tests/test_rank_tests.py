@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -112,15 +113,15 @@ def enumerate_specified_stats(x, theta0, grid, spec):
 
 
 def all_permutations(n, M, seed):
-    """Every permutation of range(n), in one chunk: a stand-in for the
-    seeded draw of ``_iter_perm_chunks`` when M = n!."""
+    """Every permutation of range(n), as one array: a stand-in for the
+    seeded draw of ``_draw_permutations`` when M = n!."""
     assert M == math.factorial(n)
-    yield np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
 @pytest.mark.parametrize("kind", ["sign", "spearman", "vdw"])
 def test_calibration_over_all_permutations_matches_enumeration(monkeypatch, kind):
-    monkeypatch.setattr(rank_tests, "_iter_perm_chunks", all_permutations)
+    monkeypatch.setattr(rank_tests, "_draw_permutations", all_permutations)
     spec = ScoreSpec(kind)
     var1 = VarModel.from_matrices([np.array([[0.5, 0.1], [0.0, 0.4]])], p1=2)
     # white noise at lag 1 (n = 4), and a VAR(1) null in a VAR(2) frame
@@ -467,7 +468,10 @@ def test_non_finite_statistic_is_a_numerical_error(M):
     s = np.random.default_rng(3).standard_normal((30, 2))
     s[7] = np.nan
     eye = np.eye(4)
-    perms = None if M is None else rank_tests._iter_perm_chunks(30, M, 1)
+    perms = None
+    if M is not None:
+        perms = Future()
+        perms.set_result(rank_tests._draw_permutations(30, M, 1))
     with pytest.raises(rv.NumericalError, match="non-finite statistic"):
         rv.rank_tests._outcome(s, 0.0, eye, eye, 4, 0.05, {}, perms)
 
@@ -482,9 +486,9 @@ def sequential_chunks(n, M, seed):
 
 
 @pytest.mark.parametrize("which", ["specified", "order"])
-def test_permutations_drawn_ahead_follow_the_sequential_draw(monkeypatch, which):
-    # three chunks: the worker draws the second and third while the kernel
-    # evaluates the one before
+def test_permutations_follow_the_sequential_draw(monkeypatch, which):
+    # more than two chunks' worth: the one array is the chunks drawn in turn
+    # from one stream, and is evaluated in blocks of _PERM_CHUNK rows
     n, M, seed = 24, 2 * _PERM_CHUNK + 37, 5
     x = np.random.default_rng(31).standard_normal((n, 2))
     grid = make_grid(factorize(n, 2), 2)
@@ -494,8 +498,8 @@ def test_permutations_drawn_ahead_follow_the_sequential_draw(monkeypatch, which)
 
     def recording(s, m_vec, a, k_inv, df, alpha, meta, perms=None):
         seen["form"] = (s, m_vec, a, k_inv)
-        seen["chunks"] = list(perms)
-        return real_outcome(s, m_vec, a, k_inv, df, alpha, meta, iter(seen["chunks"]))
+        seen["perms"] = perms.result()
+        return real_outcome(s, m_vec, a, k_inv, df, alpha, meta, perms)
 
     monkeypatch.setattr(rank_tests, "_outcome", recording)
     if which == "specified":
@@ -504,28 +508,31 @@ def test_permutations_drawn_ahead_follow_the_sequential_draw(monkeypatch, which)
     else:
         out = rv.test_order(x, 1, 2, spec, grid, M=M, seed=seed)
 
-    oracle = sequential_chunks(n, M, seed)
-    assert [c.shape for c in seen["chunks"]] == [(_PERM_CHUNK, n)] * 2 + [(37, n)]
-    for got, want in zip(seen["chunks"], oracle, strict=True):
-        assert np.array_equal(got, want)
+    oracle = np.concatenate(sequential_chunks(n, M, seed))
+    assert np.array_equal(seen["perms"], oracle)
     # the p-value recomputed from the oracle's permutations in one batch
     s, m_vec, a, k_inv = seen["form"]
-    h = _lag_stacks(np.take(s, np.concatenate(oracle), axis=0), m_vec, a.shape[1] // 4) @ a.T
+    h = _lag_stacks(np.take(s, oracle, axis=0), m_vec, a.shape[1] // 4) @ a.T
     stats = np.einsum("mi,ij,mj->m", h, k_inv, h)
     assert out.p_permutational == _permutation_calibration(stats, out.statistic, 0.05)[0]
 
 
-def test_no_worker_thread_outlives_a_test(monkeypatch):
-    baseline = threading.active_count()
+def count_draws(monkeypatch):
+    """List that grows by the drawing thread at each permutation draw."""
     drawn_on = []
-    real_chunks = rank_tests._iter_perm_chunks
+    real_draw = rank_tests._draw_permutations
 
     def spy(*args):
-        for chunk in real_chunks(*args):
-            drawn_on.append(threading.current_thread())
-            yield chunk
+        drawn_on.append(threading.current_thread())
+        return real_draw(*args)
 
-    monkeypatch.setattr(rank_tests, "_iter_perm_chunks", spy)
+    monkeypatch.setattr(rank_tests, "_draw_permutations", spy)
+    return drawn_on
+
+
+def test_no_worker_thread_outlives_a_test(monkeypatch):
+    baseline = threading.active_count()
+    drawn_on = count_draws(monkeypatch)
     spec = ScoreSpec("sign")
     grid = make_grid(factorize(60, 2), 2)
     x = np.random.default_rng(41).standard_normal((60, 2))
@@ -542,6 +549,23 @@ def test_no_worker_thread_outlives_a_test(monkeypatch):
     with pytest.raises(rv.NumericalError):
         rv.test_order(np.column_stack([w, w]), 1, 2, spec, grid, M=99, seed=1)
     assert threading.active_count() == baseline
+
+
+def test_a_series_scope_draws_each_permutation_set_once(monkeypatch):
+    grid = make_grid(factorize(60, 2), 2)
+    x = np.random.default_rng(43).standard_normal((60, 2))
+    runs = [
+        lambda seed: rv.test_order(x, 0, 1, ScoreSpec("sign"), grid, M=49, seed=seed),
+        lambda seed: rv.test_order(x, 1, 2, ScoreSpec("vdw"), grid, M=49, seed=seed),
+    ]
+    alone = [run(3).to_dict() for run in runs]
+    drawn_on = count_draws(monkeypatch)
+    with _series_scope():
+        assert [run(3).to_dict() for run in runs] == alone
+        assert len(drawn_on) == 1
+        runs[0](4)
+        assert len(drawn_on) == 2
+    assert threading.main_thread() not in drawn_on
 
 
 def order_outcomes(x, p0, grid):

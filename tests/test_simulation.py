@@ -300,6 +300,18 @@ _BASE_LINES = {
         ({}, "M = 99.5", "M = '99.5' is not a valid int"),
         ({}, "grid.nr = 5\ngrid.ns = 4\ngrid.n0 = one", "grid.n0 = 'one'"),
         ({"innovations.kind": "student"}, "innovations.nu = three", "innovations.nu"),
+        ({}, "innovations.sigma = 9,0,0,9", "normal does not read innovations.sigma"),
+        ({"innovations.kind": "t3"}, "innovations.nu = 2", "t3 does not read innovations.nu"),
+        (
+            {"innovations.kind": "gaussian"},
+            "innovations.sigma = 9,0,0,9\ninnovations.nu = 2",
+            "gaussian does not read innovations.nu",
+        ),
+        (
+            {"innovations.kind": "student"},
+            "innovations.alpha = 1,1",
+            "student does not read innovations.alpha",
+        ),
     ],
 )
 def test_parse_config_errors(tmp_path, replace, extra, fragment):
@@ -440,6 +452,14 @@ def test_sphere_variant_runs():
     rep = run_study(_small_config(tests=("sign_sphere",), ell=(0.0,), N=4))
     cell = rep.cells["sign_sphere"][0]
     assert cell["valid"] == 4
+
+
+@pytest.mark.parametrize("task", ["reject", "identify"])
+def test_a_permutational_test_needs_M(task):
+    # without M a _bc cell would quietly run the asymptotic test
+    config = _small_config(task=task, tests=("sign", "sign_bc"), M=None, max_order=2)
+    with pytest.raises(InputError, match="'sign_bc' is permutational and needs M"):
+        run_study(config)
 
 
 def test_identify_task_counts():
@@ -587,9 +607,11 @@ def test_direct_calls_share_no_coupling(monkeypatch):
 
 def test_identification_builds_each_model_once_per_series(monkeypatch):
     # the operator recursion and the perturbations of the fit run once per
-    # (series, p0) however many tests share the series
-    recursions, perturbations = [], []
+    # (series, p0), and the permutations once per series, however many tests
+    # and steps share the series
+    recursions, perturbations, draws = [], [], []
     rows, shared = var_algebra._fundamental_rows, rank_tests._shared
+    draw = rank_tests._draw_permutations
 
     def counted_rows(models, n, d_coeffs):
         recursions.append(len(models))
@@ -597,17 +619,24 @@ def test_identification_builds_each_model_once_per_series(monkeypatch):
 
     def counted_shared(key, compute):
         def run():
-            perturbations.append(key)
+            if key[0] == "perturbations":
+                perturbations.append(key)
             return compute()
 
         return shared(key, run)
 
+    def counted_draw(n, M, seed):
+        draws.append((n, M, seed))
+        return draw(n, M, seed)
+
     monkeypatch.setattr(var_algebra, "_fundamental_rows", counted_rows)
     monkeypatch.setattr(rank_tests, "_shared", counted_shared)
+    monkeypatch.setattr(rank_tests, "_draw_permutations", counted_draw)
     counts = {}
     for tests in (("vdw",), ("vdw", "sign_bc", "gaussian")):
         recursions.clear()
         perturbations.clear()
+        draws.clear()
         report = run_study(_sharing_config("identify", tests=tests))
         assert all(report.cells[t][0]["correct"] == 4 for t in tests)
         counts[tests] = (list(recursions), len(perturbations))
@@ -615,6 +644,9 @@ def test_identification_builds_each_model_once_per_series(monkeypatch):
     # coordinates; order 0 has no recursion and no perturbation
     assert counts[("vdw",)] == ([1, 4] * 4, 4)
     assert counts[("vdw", "sign_bc", "gaussian")] == counts[("vdw",)]
+    # sign_bc runs both steps (0 vs 1, 1 vs 2) of each of the 4 series on
+    # one draw
+    assert len(draws) == 4
 
 
 def test_no_sharing_scope_outlives_run_study():
