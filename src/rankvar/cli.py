@@ -347,6 +347,10 @@ def cmd_simulate(args) -> int:
     d = args.d
     if args.theta is not None:
         theta = np.asarray(_floats(args.theta))
+        if args.p is None and theta.size % (d * d):
+            raise InputError(
+                f"--theta has {theta.size} entries, not a multiple of d^2 = {d * d}"
+            )
         p = args.p if args.p is not None else theta.size // (d * d)
         model = VarModel(d=d, p0=p, p1=p, theta=args.ell * theta)
     else:

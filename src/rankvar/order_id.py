@@ -3,7 +3,8 @@
 The order is identified by testing p0 = 0, 1, 2, ... against p1 = p0 + 1
 and stopping at the first non-rejection.  Every step reuses the same grid
 and the same seed, so the step at p0 = 0 reproduces the standalone
-white-noise test bit for bit.  Per-step levels are not multiplicity
+white-noise test bit for bit, and the steps run in one series scope, so
+they share one permutation draw.  Per-step levels are not multiplicity
 adjusted; the sequential procedure controls the under-identification
 probability at alpha asymptotically.
 
@@ -14,6 +15,7 @@ engine.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from .gaussian_tests import gaussian_test_order
 from .grid import BallGrid, _seeded_grid
 from .rank_tests import TestOutcome, test_order
 from .scores import ScoreSpec
+from .var_algebra import _SCOPE, _series_scope
 
 __all__ = ["IdentificationTrace", "IdentificationError", "identify_order"]
 
@@ -134,31 +137,34 @@ def identify_order(
         if grid is None:
             grid = _seeded_grid(n, d, seed)
 
-    steps: list[tuple[int, TestOutcome]] = []
-    for p0 in range(0, max_order + 1):
-        try:
-            outcome = _order_test(x, p0, p0 + 1, spec, grid, alpha, M, seed)
-        except NumericalError as exc:
-            partial = IdentificationTrace(
-                steps=tuple(steps),
-                selected_order=p0,
-                max_order=max_order,
-                truncated=True,
-            )
-            raise IdentificationError(
-                f"order test at p0={p0} failed: {exc}", partial
-            ) from exc
-        steps.append((p0, outcome))
-        if not outcome.reject:
-            return IdentificationTrace(
-                steps=tuple(steps),
-                selected_order=p0,
-                max_order=max_order,
-                truncated=False,
-            )
-    return IdentificationTrace(
-        steps=tuple(steps),
-        selected_order=max_order,
-        max_order=max_order,
-        truncated=True,
-    )
+    # A scope of its own, unless one is open already (run_study's), lets the
+    # steps share one permutation draw; a nested scope would hide the outer memo.
+    with nullcontext() if _SCOPE.get() is not None else _series_scope():
+        steps: list[tuple[int, TestOutcome]] = []
+        for p0 in range(0, max_order + 1):
+            try:
+                outcome = _order_test(x, p0, p0 + 1, spec, grid, alpha, M, seed)
+            except NumericalError as exc:
+                partial = IdentificationTrace(
+                    steps=tuple(steps),
+                    selected_order=p0,
+                    max_order=max_order,
+                    truncated=True,
+                )
+                raise IdentificationError(
+                    f"order test at p0={p0} failed: {exc}", partial
+                ) from exc
+            steps.append((p0, outcome))
+            if not outcome.reject:
+                return IdentificationTrace(
+                    steps=tuple(steps),
+                    selected_order=p0,
+                    max_order=max_order,
+                    truncated=False,
+                )
+        return IdentificationTrace(
+            steps=tuple(steps),
+            selected_order=max_order,
+            max_order=max_order,
+            truncated=True,
+        )

@@ -21,8 +21,11 @@ permutational test draws all M as one (M, n) array on one worker thread
 (:func:`_permutations`) while it fits and couples, and :func:`_outcome`
 evaluates the array in blocks of ``_PERM_CHUNK`` rows.  The array takes
 8 M n bytes: 0.3 MB at M = 199, n = 200, but 32 MB at M = 5000, n = 800.
-Inside a series scope (:func:`var_algebra._series_scope`) it is drawn
-once per (n, M, seed) and kept until the scope closes, so the steps of an
+Beside it the permuted scores are gathered ``_GATHER`` = 128 rows at a
+time, whatever M is: 2 MB at n = 1000, d = 2, and 2.5 MB at n = 800,
+d = 3.  Inside a series scope (:func:`var_algebra._series_scope`, which
+an identification opens when none is open) the array is drawn once per
+(n, M, seed) and kept until the scope closes, so the steps of an
 identification share one draw.  The worker lives for one test call and
 is joined before the test returns or raises.
 
@@ -69,9 +72,13 @@ from .var_algebra import (
 
 __all__ = ["TestOutcome", "test_specified", "test_order"]
 
-# Permuted statistics are evaluated in blocks of this many rows, so that the
-# (B, n, d) score gather stays comfortably in memory at M = 5000, n = 800.
+# Permuted statistics are evaluated in blocks of this many rows: the block's
+# stacked cross-covariances v, (rows, L d^2), are held at once, and the
+# quadratic form runs over these rows, which fixes its last bits.
 _PERM_CHUNK = 1024
+# The (rows, n, d) score gather behind v is taken this many rows at a time,
+# 2 MB at n = 1000, d = 2, whatever M is.
+_GATHER = 128
 
 
 @dataclass(frozen=True)
@@ -156,11 +163,16 @@ def _lag_stacks(sp: np.ndarray, m_vec, L: int) -> np.ndarray:
     Gamma_i = (n-i)^{-1} sum_t s_t s_{t-i}'.
     """
     B, n, d = sp.shape
-    out = np.empty((B, L, d * d))
+    st = sp.transpose(0, 2, 1)
+    g = np.empty((B, L, d, d))
     for i in range(1, L + 1):
         # S_{t-i}' S_t is Gamma_i', whose row-major layout is vec(Gamma_i).
-        g = np.matmul(sp[:, : n - i].transpose(0, 2, 1), sp[:, i:]) / (n - i)
-        out[:, i - 1] = math.sqrt(n - i) * (g.reshape(B, d * d) - m_vec)
+        np.matmul(st[:, :, : n - i], sp[:, i:], out=g[:, i - 1])
+    out = g.reshape(B, L, d * d)
+    k = (n - np.arange(1, L + 1)).astype(float)[:, None]
+    out /= k
+    out -= m_vec
+    out *= np.sqrt(k)
     return out.reshape(B, L * d * d)
 
 
@@ -275,15 +287,18 @@ def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
     statistic is the identity permutation's value; with ``perms``, a
     future of an (M, n) permutation array (see :func:`_permutations`), the
     same kernel evaluates the permuted assignments, ``_PERM_CHUNK`` rows at
-    a time, and the test is calibrated on them, otherwise on the
-    chi-square(df) limit.  A non-finite statistic raises
-    :class:`NumericalError`.
+    a time from gathers of ``_GATHER`` rows, and the test is calibrated on
+    them, otherwise on the chi-square(df) limit.  A non-finite statistic
+    raises :class:`NumericalError`.
     """
     n, d = s.shape
     L = a.shape[1] // (d * d)
 
-    def forms(perms):
-        h = _lag_stacks(np.take(s, perms, axis=0), m_vec, L) @ a.T
+    def forms(rows):
+        v = np.empty((len(rows), a.shape[1]))
+        for j in range(0, len(rows), _GATHER):
+            v[j : j + _GATHER] = _lag_stacks(np.take(s, rows[j : j + _GATHER], axis=0), m_vec, L)
+        h = v @ a.T
         return np.einsum("mi,ij,mj->m", h, k_inv, h)
 
     statistic = float(forms(np.arange(n)[None, :])[0])

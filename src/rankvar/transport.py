@@ -149,17 +149,23 @@ def _column_potentials(cost: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
     Dual feasibility with equality on sigma, u_i = c_{i,sigma(i)} - v_{sigma(i)},
     asks v_j <= v_{sigma(i)} + c_ij - c_{i,sigma(i)} for every i, j: shortest
-    paths, found by dense Bellman-Ford relaxation from v = 0.  The sweeps stop
-    when nothing changes, or after m, the bound without negative cycles;
-    rounding can leave a cycle that lowers a potential by an ulp on every
-    sweep, and the capped potentials are still a good warm start.
+    paths, found by dense Bellman-Ford relaxation from v = 0.  A row i whose
+    source v_{sigma(i)} did not move in the last sweep offers the same bounds
+    as before, which v already meets, so each sweep relaxes only the rows
+    whose source moved.  The sweeps stop when nothing changes, or after m,
+    the bound without negative cycles; rounding can leave a cycle that
+    lowers a potential by an ulp on every sweep, and the capped potentials
+    are still a good warm start.
     """
     m = cost.shape[0]
     slack = cost - cost[np.arange(m), sigma][:, None]
     v = np.zeros(m)
+    moved = np.ones(m, dtype=bool)
     for _ in range(m):
-        relaxed = np.minimum(v, (v[sigma][:, None] + slack).min(axis=0))
-        if np.array_equal(relaxed, v):
+        rows = np.flatnonzero(moved[sigma])
+        relaxed = np.minimum(v, (v[sigma[rows]][:, None] + slack[rows]).min(axis=0))
+        moved = relaxed != v
+        if not moved.any():
             break
         v = relaxed
     return v
@@ -198,7 +204,8 @@ def _warm_start(cost: np.ndarray, z: np.ndarray, grid: BallGrid) -> None:
     _, sigma = linear_sum_assignment(coarse)
     v = _column_potentials(coarse, sigma)
     u = (coarse - v).min(axis=1)
-    _reduce(cost, (near - u[:, None]).min(axis=0))
+    near -= u[:, None]
+    _reduce(cost, near.min(axis=0))
 
 
 def _cost(z: np.ndarray, g: np.ndarray) -> np.ndarray:

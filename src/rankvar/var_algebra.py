@@ -19,8 +19,9 @@ Inside :func:`_series_scope` whatever the tests of one series compute from
 (series, parameter) alone is computed once and returned again for the same
 inputs, through :func:`_shared`: the operator matrices of each model, the
 finite-difference perturbations of a fitted parameter, the optimal
-couplings and the permutations of each (n, M, seed).  The Monte Carlo engine opens one scope per simulated series;
-outside a scope nothing is kept.
+couplings and the permutations of each (n, M, seed).  The Monte Carlo
+engine opens one scope per simulated series, and an identification one of
+its own when no scope is open; outside a scope nothing is kept.
 """
 
 from __future__ import annotations

@@ -530,6 +530,17 @@ def test_simulate_refuses_an_order_without_coefficients(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_names_the_multiple_theta_needs(tmp_path, capsys):
+    # without --p the order is read off the length of --theta; 3 entries
+    # at d = 2 used to report "expected p1*d^2 = 0"
+    out = tmp_path / "s.csv"
+    code, _, stderr = run_cli(capsys, "simulate", "--n", "50", "--d", "2",
+                              "--theta", "0.1,0.2,0.3", "--seed", "9", "--out", str(out))
+    assert code == 2
+    assert "--theta has 3 entries, not a multiple of d^2 = 4" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags,fragment",
     [

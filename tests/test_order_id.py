@@ -12,7 +12,9 @@ from rankvar import (
     make_grid,
     simulate_var,
 )
+from rankvar import rank_tests
 from rankvar.order_id import _order_test
+from rankvar.var_algebra import _SCOPE, _series_scope
 
 A1 = np.array([[0.30, 0.12], [-0.06, 0.24]])
 
@@ -116,3 +118,34 @@ def test_max_order_default_and_bounds():
         identify_order(x, "gaussian", max_order=-1)
     with pytest.raises(InputError):
         identify_order(np.zeros(10), "gaussian")
+
+
+def test_identification_draws_its_permutations_once(monkeypatch):
+    # every step has the same (n, M, seed): outside a series scope the
+    # identification opens one, inside an open scope it uses that one
+    draws = []
+    real_draw = rank_tests._draw_permutations
+
+    def counted(n, M, seed):
+        draws.append((n, M, seed))
+        return real_draw(n, M, seed)
+
+    model = VarModel.from_matrices([A1, np.array([[-0.3, 0.0], [0.1, 0.25]])])
+    x = simulate_var(model, 150, np.random.default_rng(4).standard_normal((350, 2)))
+    grid = make_grid(factorize(150, 2), 2)
+    spec = ScoreSpec("vdw")
+    alone = identify_order(x, spec, max_order=2, M=49, seed=6, grid=grid)
+    assert [p0 for p0, _ in alone.steps] == [0, 1, 2]
+
+    monkeypatch.setattr(rank_tests, "_draw_permutations", counted)
+    assert identify_order(x, spec, max_order=2, M=49, seed=6, grid=grid) == alone
+    assert draws == [(150, 49, 6)]
+    assert _SCOPE.get() is None
+
+    draws.clear()
+    with _series_scope():
+        memo = _SCOPE.get()
+        for _ in range(2):
+            assert identify_order(x, spec, max_order=2, M=49, seed=6, grid=grid) == alone
+        assert _SCOPE.get() is memo and ("permutations", 150, 49, 6) in memo
+    assert draws == [(150, 49, 6)]

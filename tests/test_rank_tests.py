@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -375,6 +376,29 @@ def test_batched_lag_stack_rows_equal_single_rows(batch, n, d, data, seed):
         assert np.array_equal(full[b, : short * d * d], _lag_stacks(sp[b : b + 1], m_vec, short)[0])
 
 
+def per_lag_stacks(sp, m_vec, L):
+    """Oracle: one product, one division and one scaled difference per lag,
+    each in a temporary of its own."""
+    B, n, d = sp.shape
+    out = np.empty((B, L, d * d))
+    for i in range(1, L + 1):
+        g = np.matmul(sp[:, : n - i].transpose(0, 2, 1), sp[:, i:]) / (n - i)
+        out[:, i - 1] = math.sqrt(n - i) * (g.reshape(B, d * d) - m_vec)
+    return out.reshape(B, L * d * d)
+
+
+@pytest.mark.parametrize("B", [1, 2, 9, 128])
+@pytest.mark.parametrize("n", [12, 60, 301])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 11])
+@pytest.mark.parametrize("centred", [False, True])
+def test_lag_stacks_equal_the_per_lag_oracle(B, n, d, L, centred):
+    rng = np.random.default_rng(B * 1000 + n * 10 + d)
+    sp = rng.standard_normal((B, n, d))
+    m_vec = rng.standard_normal(d * d) if centred else 0.0
+    assert np.array_equal(_lag_stacks(sp, m_vec, L), per_lag_stacks(sp, m_vec, L))
+
+
 def test_input_validation():
     grid = make_grid(factorize(20, 2), 2)
     x = np.random.default_rng(0).standard_normal((20, 2))
@@ -515,6 +539,53 @@ def test_permutations_follow_the_sequential_draw(monkeypatch, which):
     h = _lag_stacks(np.take(s, oracle, axis=0), m_vec, a.shape[1] // 4) @ a.T
     stats = np.einsum("mi,ij,mj->m", h, k_inv, h)
     assert out.p_permutational == _permutation_calibration(stats, out.statistic, 0.05)[0]
+
+
+@pytest.mark.parametrize("which", ["specified", "order"])
+def test_gather_blocks_change_no_statistic(monkeypatch, which):
+    # gathers of 1, 7, 128 and more than M rows, straddling the blocks of
+    # _PERM_CHUNK rows of the quadratic form, give the same bits
+    n, M, seed = 24, 2 * _PERM_CHUNK + 37, 5
+    x = np.random.default_rng(37).standard_normal((n, 2))
+    grid = make_grid(factorize(n, 2), 2)
+    spec = ScoreSpec("vdw")
+    seen = []
+    real_calibration = rank_tests._permutation_calibration
+
+    def recording(stats, observed, alpha):
+        seen.append(stats)
+        return real_calibration(stats, observed, alpha)
+
+    monkeypatch.setattr(rank_tests, "_permutation_calibration", recording)
+    theta0 = VarModel.from_matrices([np.array([[0.3, 0.1], [-0.1, 0.2]])], p1=2)
+    outcomes = []
+    for gather in (rank_tests._GATHER, 1, 7, M, M + 100):
+        monkeypatch.setattr(rank_tests, "_GATHER", gather)
+        if which == "specified":
+            out = rv.test_specified(x, theta0, spec, grid, M=M, seed=seed)
+        else:
+            out = rv.test_order(x, 1, 2, spec, grid, M=M, seed=seed)
+        outcomes.append(out.to_dict())
+    assert all(o == outcomes[0] for o in outcomes)
+    assert all(np.array_equal(stats, seen[0]) for stats in seen)
+
+
+def test_permuted_statistics_take_bounded_memory():
+    # the gather holds _GATHER rows of scores whatever M is: 2 MB at
+    # n = 1000, d = 2, where all 999 rows at once took 15.4 MB
+    n, d, M = 1000, 2, 999
+    s = np.random.default_rng(2).standard_normal((n, d))
+    eye = np.eye(d * d)
+    perms = Future()
+    perms.set_result(rank_tests._draw_permutations(n, M, 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rank_tests._outcome(s, 0.0, eye, eye, d * d, 0.05, {}, perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 4e6
 
 
 def count_draws(monkeypatch):

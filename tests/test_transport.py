@@ -394,6 +394,61 @@ def test_base_potentials_are_recovered_only_on_a_memo_miss(monkeypatch):
     assert all(a is b for a, b in zip(first, again))
 
 
+def full_sweep_potentials(cost, sigma):
+    """Oracle: Bellman-Ford relaxing every row on every sweep, up to m sweeps."""
+    m = cost.shape[0]
+    slack = cost - cost[np.arange(m), sigma][:, None]
+    v = np.zeros(m)
+    for _ in range(m):
+        relaxed = np.minimum(v, (v[sigma][:, None] + slack).min(axis=0))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return v
+
+
+def warm_start_potential_calls(monkeypatch):
+    """(cost, sigma) of every _column_potentials call the warm starts make:
+    the coarse problems of base couplings and the base costs of perturbed
+    stacks, on continuous, rounded and identical-column series (the last
+    meets a rounding cycle and runs to the sweep cap)."""
+    calls = []
+    recover = transport._column_potentials
+
+    def recorded(cost, sigma):
+        calls.append((cost.copy(), sigma.copy()))
+        return recover(cost, sigma)
+
+    monkeypatch.setattr(transport, "_column_potentials", recorded)
+    rng = np.random.default_rng(23)
+    series = [rng.standard_normal((n, d)) for n, d in [(9, 1), (60, 2), (200, 2), (150, 3)]]
+    series.append(np.round(rng.standard_normal((120, 2)), 1))
+    eps = np.random.default_rng(19).standard_normal((350, 1))
+    v = simulate_var(VarModel.from_matrices([np.array([[0.7]])]), 150, eps).ravel()
+    series.append(np.column_stack([v, v]))
+    for z in series:
+        n, d = z.shape
+        grid = make_grid(factorize(n, d), d)
+        base = solve_coupling(z, grid)
+        _perturbed_couplings(perturbed_stack(z, rng, k=1), grid, base, z)
+    monkeypatch.undo()
+    return calls
+
+
+def test_active_set_potentials_equal_full_sweeps(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = warm_start_potential_calls(monkeypatch)
+    assert len(cases) == 12
+    for m in (1, 2, 7, 50, 200):
+        cost = rng.standard_normal((m, m))
+        cases.append((cost, linear_sum_assignment(cost)[1]))
+        cases.append((cost, rng.permutation(m)))  # not optimal: negative cycles, capped
+    for cost, sigma in cases:
+        assert np.array_equal(
+            transport._column_potentials(cost, sigma), full_sweep_potentials(cost, sigma)
+        )
+
+
 def tie_orbit_member(assignment, z, grid, rng):
     """An assignment of equal cost: gridpoints shuffled within groups of equal
     residual rows, then observations shuffled within duplicate gridpoints."""
