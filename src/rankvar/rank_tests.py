@@ -19,8 +19,9 @@ horizon.
 The permutations depend only on (n, M, seed), not on the data.  A
 permutational test draws all M as one (M, n) array on one worker thread
 (:func:`_permutations`) while it fits and couples, and :func:`_outcome`
-evaluates the array in blocks of ``_PERM_CHUNK`` rows.  The array takes
-8 M n bytes: 0.3 MB at M = 199, n = 200, but 32 MB at M = 5000, n = 800.
+evaluates the array in blocks of ``_PERM_CHUNK`` rows.  Its M n entries
+take the narrowest unsigned type, 2 M n bytes for 256 < n <= 65536: 1.9 MB
+at M = 999, n = 1000, and 8 MB at M = 5000, n = 800.
 Beside it the permuted scores are gathered ``_GATHER`` = 128 rows at a
 time, whatever M is: 2 MB at n = 1000, d = 2, and 2.5 MB at n = 800,
 d = 3.  Inside a series scope (:func:`var_algebra._series_scope`, which
@@ -184,8 +185,9 @@ def _block_gram(a: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 def _draw_permutations(n: int, M: int, seed: int) -> np.ndarray:
     """M random permutations of range(n) from the seeded stream, as an
-    (M, n) array shuffled row by row in place."""
-    perms = np.tile(np.arange(n), (M, 1))
+    (M, n) array of the narrowest unsigned type, shuffled row by row in
+    place: Fisher-Yates draws the same indices whatever the item size."""
+    perms = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (M, 1))
     stream(seed, 11).permuted(perms, axis=1, out=perms)
     return perms
 

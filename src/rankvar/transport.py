@@ -16,8 +16,9 @@ The coupling is therefore invariant to the scale of the residuals.
 Every solve is warm-started.  Subtracting row potentials u_t and column
 potentials v_k from the cost leaves the set of optimal assignments
 unchanged, and the exact solver finishes much sooner when (u, v) are close
-to the optimal duals.  The estimate has one of two sources, and
-row and column minima complete the reduced cost either way.  For
+to the optimal duals.  Either of two sources gives column potentials v
+before the n x n cost is built, so a solve holds one n x n array; row and
+column minima complete the reduced cost.  For
 :func:`solve_coupling` it comes from a coarse problem that keeps every
 point: the residuals and the gridpoints are each split by median splits
 into n // 4 groups of four, the groups are coupled exactly under the mean
@@ -171,16 +172,8 @@ def _column_potentials(cost: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return v
 
 
-def _reduce(cost: np.ndarray, v: np.ndarray) -> None:
-    """Subtract the column potentials v from the cost in place, then its row
-    minima, then its column minima.  The optimal assignments do not change."""
-    cost -= v
-    cost -= cost.min(axis=1, keepdims=True)
-    cost -= cost.min(axis=0)
-
-
-def _warm_start(cost: np.ndarray, z: np.ndarray, grid: BallGrid) -> None:
-    """Reduce the n x n cost in place by an estimate of its optimal duals.
+def _warm_start(z: np.ndarray, grid: BallGrid) -> np.ndarray:
+    """Estimated optimal column potentials v of the n x n cost, without the cost.
 
     The residuals z and, separately, the gridpoints g of the grid are split
     into m = max(n // 4, 1) groups by :func:`_groups`, the gridpoints once
@@ -189,23 +182,22 @@ def _warm_start(cost: np.ndarray, z: np.ndarray, grid: BallGrid) -> None:
     |g|^2 - 2 zbar_R'g; it is solved exactly, its column potentials
     recovered and its row potentials u_R taken as row minima.  Every
     gridpoint then gets the c-transform over the residual group means,
-    v_k = min_R (|g_k|^2 - 2 zbar_R'g_k - u_R), and the cost is reduced by
-    v (:func:`_reduce`).
+    v_k = min_R (|g_k|^2 - 2 zbar_R'g_k - u_R).
     """
-    n = cost.shape[0]
+    n = z.shape[0]
     m = max(n // 4, 1)
     starts = 4 * np.arange(m)
     sizes = np.diff(starts, append=n)
     means = np.add.reduceat(z[_groups(z, m)], starts) / sizes[:, None]
-    # The cost of every gridpoint against every residual group's mean.
-    g = grid.points
-    near = (g * g).sum(1) - 2.0 * (means @ g.T)
-    coarse = np.add.reduceat(near[:, grid._coarse_groups], starts, axis=1) / sizes
+    # The cost of every gridpoint, in group order, against every group mean.
+    order = grid._coarse_groups
+    near = _cost(means, grid.points[order])
+    coarse = np.add.reduceat(near, starts, axis=1) / sizes
     _, sigma = linear_sum_assignment(coarse)
-    v = _column_potentials(coarse, sigma)
-    u = (coarse - v).min(axis=1)
-    near -= u[:, None]
-    _reduce(cost, near.min(axis=0))
+    near -= (coarse - _column_potentials(coarse, sigma)).min(axis=1)[:, None]
+    v = np.empty(n)
+    v[order] = near.min(axis=0)
+    return v
 
 
 def _cost(z: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -220,8 +212,8 @@ def _cost(z: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
     """The coupling of one residual array: validation, then, once per
     (residuals, grid) in a series scope (:func:`var_algebra._shared`), the
-    cost reduced in place by ``warm(cost, scaled residuals, grid)``, the
-    exact solve and tie canonicalization."""
+    column potentials ``warm(scaled residuals, grid)``, the cost reduced by
+    them, the exact solve and tie canonicalization."""
     z = np.asarray(residuals, dtype=float)
     if z.ndim != 2:
         raise InputError(f"residuals must be 2-d, got shape {z.shape}")
@@ -235,8 +227,12 @@ def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
 
     def solve() -> Coupling:
         scaled = _pow2_scaled(z)
+        v = warm(scaled, grid)  # before the cost: one n x n array is held
         cost = _cost(scaled, grid.points)
-        warm(cost, scaled, grid)
+        # Less v, then row and column minima: the optimal assignments stay.
+        cost -= v
+        cost -= cost.min(axis=1, keepdims=True)
+        cost -= cost.min(axis=0)
         rows, cols = linear_sum_assignment(cost)
         assignment = np.empty(n, dtype=int)
         assignment[rows] = cols
@@ -271,22 +267,23 @@ def _perturbed_couplings(stack, grid: BallGrid, base: Coupling, base_residuals) 
     coupling is ``base``.
 
     Each cost is reduced by the base cost's exact column potentials, each
-    column shifted by its base pair's cost change, so that every pair of the
-    base assignment stays tight.  :func:`_column_potentials` recovers the
-    potentials from the base assignment once per call, and only when some
-    array of the stack misses the series scope's memo.  The
-    potentials move only the run time.
+    column k shifted by its base pair's cost change,
+    -2 (z - z_base)_{sigma^-1(k)}'g_k, so that every pair of the base
+    assignment stays tight.  The shift takes O(n d), before the cost is
+    built.  :func:`_column_potentials` recovers the potentials from the base
+    assignment once per call, and only when some array of the stack misses
+    the series scope's memo.  The potentials move only the run time.
     """
-    cols = np.arange(grid.n)
+    g = grid.points
     inv = np.argsort(base.assignment)  # the time assigned each gridpoint
-    shift = None  # base potentials less the cost of each column's base pair
+    shift = None  # base potentials plus 2 z_base'g of each column's base pair
 
-    def warm(cost, z, grid):
+    def warm(z, grid):
         nonlocal shift
         if shift is None:
-            base_cost = _cost(_pow2_scaled(np.asarray(base_residuals, dtype=float)), grid.points)
-            shift = _column_potentials(base_cost, base.assignment) - base_cost[inv, cols]
-        _reduce(cost, shift + cost[inv, cols])
+            zb = _pow2_scaled(np.asarray(base_residuals, dtype=float))
+            shift = _column_potentials(_cost(zb, g), base.assignment) + 2.0 * (zb[inv] * g).sum(1)
+        return shift - 2.0 * (z[inv] * g).sum(1)
 
     return [_couple(z, grid, warm) for z in stack]
 

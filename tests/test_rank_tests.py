@@ -588,6 +588,19 @@ def test_permuted_statistics_take_bounded_memory():
     assert peak - base < 4e6
 
 
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16),
+     (65536, np.uint16), (65537, np.uint32)],
+)
+def test_permutations_take_the_narrowest_unsigned_type(n, dtype):
+    M, seed = 3, 9
+    perms = rank_tests._draw_permutations(n, M, seed)
+    oracle = stream(seed, 11).permuted(np.tile(np.arange(n), (M, 1)), axis=1)
+    assert perms.dtype == dtype
+    assert np.array_equal(perms, oracle)
+
+
 def count_draws(monkeypatch):
     """List that grows by the drawing thread at each permutation draw."""
     drawn_on = []

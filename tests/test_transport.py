@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,6 +393,57 @@ def test_base_potentials_are_recovered_only_on_a_memo_miss(monkeypatch):
         again = _perturbed_couplings(stack, grid, base, z)
         assert calls == [(20, 20), (80, 80)]  # every coupling from the memo
     assert all(a is b for a, b in zip(first, again))
+
+
+def test_perturbed_warm_start_keeps_the_base_pairs_tight(monkeypatch):
+    warms = []
+    couple = transport._couple
+
+    def recording(residuals, grid, warm):
+        warms.append(warm)
+        return couple(residuals, grid, warm)
+
+    monkeypatch.setattr(transport, "_couple", recording)
+    n, d = 200, 2
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((n, d))
+    grid = make_grid(factorize(n, d), d)
+    base = solve_coupling(z, grid)
+    stack = perturbed_stack(z, rng, k=3)
+    _perturbed_couplings(stack, grid, base, z)
+    warm = warms[-1]
+
+    def reduced(residuals):
+        scaled = _pow2_scaled(residuals)
+        return transport._cost(scaled, grid.points) - warm(scaled, grid)
+
+    rows = np.arange(n)
+    cost = transport._cost(_pow2_scaled(z), grid.points)
+    tol = 1e-12 * np.abs(cost).max()
+    at_base = reduced(z)
+    pairs = at_base[rows, base.assignment]
+    # for the base residuals every base pair is its row's minimum ...
+    assert np.all(pairs - at_base.min(axis=1) <= tol)
+    # ... and for a perturbed array each base pair keeps that reduced cost
+    for zp in stack:
+        assert np.allclose(reduced(zp)[rows, base.assignment], pairs, rtol=0, atol=tol)
+
+
+def test_a_coupling_holds_one_cost_matrix():
+    # the n x n cost alone is 8e6 bytes at n = 1000; the warm start's
+    # potentials are computed before it, and nothing of its size lives beside it
+    n, d = 1000, 2
+    grid = make_grid(factorize(n, d), d)
+    z = np.random.default_rng(6).standard_normal((n, d))
+    solve_coupling(z, grid)  # fills the grid's cached groups
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_coupling(z, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 9e6
 
 
 def full_sweep_potentials(cost, sigma):
