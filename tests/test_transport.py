@@ -446,6 +446,24 @@ def test_a_coupling_holds_one_cost_matrix():
     assert peak - base < 9e6
 
 
+def test_column_potentials_hold_the_slack_and_one_block():
+    # the cost and its slack are 8e6 bytes each at n = 1000; a sweep adds the
+    # potentials into its gathered rows in place and frees them before the next
+    n, d = 1000, 2
+    grid = make_grid(factorize(n, d), d)
+    z = _pow2_scaled(np.random.default_rng(6).standard_normal((n, d)))
+    sigma = solve_coupling(z, grid).assignment
+    cost = transport._cost(z, grid.points)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        transport._column_potentials(cost, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 17e6
+
+
 def full_sweep_potentials(cost, sigma):
     """Oracle: Bellman-Ford relaxing every row on every sweep, up to m sweeps."""
     m = cost.shape[0]
