@@ -58,7 +58,7 @@ def ingest_csv(path: str, diff: bool = False, demean: bool = False) -> np.ndarra
     rows: list[list[float]] = []
     width = None
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             for lineno, cells in enumerate(reader, start=1):
                 if not cells or all(not c.strip() for c in cells):
@@ -108,7 +108,7 @@ def ingest_csv(path: str, diff: bool = False, demean: bool = False) -> np.ndarra
 def _load_theta0(path: str, p1: int | None) -> VarModel:
     """theta0 JSON: {d, p, A: list of d x d row-major matrices}."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

@@ -80,9 +80,11 @@ class BallGrid:
 
     @cached_property
     def _point_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_row_groups` of the gridpoints, which tie canonicalization
-        reads on every coupling."""
-        return _row_groups(self.points)
+        """The lead of each gridpoint, the lowest index of its duplicate
+        group (:func:`_row_groups`), and the members, every index sorted by
+        lead and then by index; the tie rule of every coupling reads both."""
+        lead = _row_groups(self.points)
+        return lead, np.argsort(lead, kind="stable")
 
     @cached_property
     def _coarse_groups(self) -> np.ndarray:
@@ -91,15 +93,12 @@ class BallGrid:
         return _groups(self.points, max(self.n // 4, 1))
 
 
-def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row, the index of the first row equal to it (bytewise) and
-    the size of its group of equal rows."""
+def _row_groups(rows: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row equal to it (bytewise)."""
     rows = np.ascontiguousarray(rows)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, group, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first[group], counts[group]
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first[group]
 
 
 def _groups(x: np.ndarray, m: int) -> np.ndarray:

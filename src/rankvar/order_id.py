@@ -15,7 +15,6 @@ engine.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .gaussian_tests import gaussian_test_order
 from .grid import BallGrid, _seeded_grid
 from .rank_tests import TestOutcome, test_order
 from .scores import ScoreSpec
-from .var_algebra import _SCOPE, _series_scope
+from .var_algebra import _series_scope
 
 __all__ = ["IdentificationTrace", "IdentificationError", "identify_order"]
 
@@ -137,9 +136,9 @@ def identify_order(
         if grid is None:
             grid = _seeded_grid(n, d, seed)
 
-    # A scope of its own, unless one is open already (run_study's), lets the
-    # steps share one permutation draw; a nested scope would hide the outer memo.
-    with nullcontext() if _SCOPE.get() is not None else _series_scope():
+    # The steps share one permutation draw in a scope: run_study's, or else
+    # one of their own.
+    with _series_scope():
         steps: list[tuple[int, TestOutcome]] = []
         for p0 in range(0, max_order + 1):
             try:

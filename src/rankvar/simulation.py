@@ -372,7 +372,7 @@ def parse_config(path: str) -> StudyConfig:
     """
     raw: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.split("#", 1)[0].strip()
                 if not text:

@@ -32,9 +32,12 @@ base assignment and shifted so that the base pairs stay tight.  Neither
 draws a random number, and there is no option: the warm start moves the
 run time, not the result.
 Where the optimal coupling is unique the assignment is the one the full
-cost gives; where several are optimal (tied residual rows, or residuals on
-a mirror axis of the grid) the solver returns one of equal cost, and tie
-canonicalization below makes the tied-row case deterministic.
+cost gives; where several are optimal the solver returns one of equal cost.
+Tied residual rows and duplicate gridpoints (the n_0 origin copies) give
+optima that differ only by relabelling within the ties, and one pass,
+:func:`_canonical_form`, returns the same one of those for all of them.
+Other optima, such as those of residuals on a mirror axis of the grid,
+are left to the solver.
 
 Inside a series scope (:func:`var_algebra._series_scope`) a coupling is
 solved once per distinct (residuals, grid) pair and returned again for the
@@ -124,50 +127,27 @@ class Coupling:
         return self.assignment.shape[0]
 
 
-def _canonicalize_ties(assignment: np.ndarray, grid: BallGrid) -> np.ndarray:
-    """Make the assignment deterministic across duplicate gridpoints.
-
-    Gridpoints with identical coordinates (the n_0 origin copies, and any
-    exact duplicates, compared bytewise) are interchangeable without changing
-    the cost; within each duplicate group the earliest observation gets the
-    lowest gridpoint index.
-    """
-    group, size = grid._point_groups
-    tied = size > 1
-    if not tied.any():
-        return assignment
-    # Sorted by group, stably: tied observations in time order, tied gridpoints
-    # in index order; a bijection gives each group as many of one as the other.
-    times = np.flatnonzero(tied[assignment])
-    members = np.flatnonzero(tied)
-    out = assignment.copy()
-    out[times[np.argsort(group[assignment[times]], kind="stable")]] = members[
-        np.argsort(group[members], kind="stable")
-    ]
-    return out
-
-
-def _sort_tied_residuals(assignment: np.ndarray, z: np.ndarray, grid: BallGrid) -> np.ndarray:
-    """Make the assignment deterministic across identical residual rows.
+def _canonical_form(assignment: np.ndarray, z: np.ndarray, grid: BallGrid) -> np.ndarray:
+    """The one assignment of the tie orbit of ``assignment`` that the package
+    returns.
 
     Residual rows equal in every coordinate (-0.0 equal to 0.0) are
-    interchangeable without changing the cost; within each such group the
-    gridpoints go to the times in ascending order, both sorted.  A gridpoint
-    counts by the lowest index of its duplicate group, so that
-    :func:`_canonicalize_ties`, applied after, completes a canonical form.
+    interchangeable without changing the cost, and so are gridpoints with
+    identical coordinates (the n_0 origin copies, and any exact duplicates,
+    compared bytewise).  Each time is labelled by the lead, the lowest
+    index, of its gridpoint's duplicate group; within each group of tied
+    rows the labels go to the times in ascending order, both sorted.  Then
+    each duplicate group's gridpoints go, in ascending index, to the times
+    with its label, in ascending time.
     """
-    if np.unique(z[:, 0]).size == z.shape[0]:
-        return assignment  # no two rows share even their first coordinate
-    group, size = _row_groups(z + 0.0)
-    times = np.flatnonzero(size > 1)
-    if not times.size:
-        return assignment
-    points = assignment[times]
-    lead, _ = grid._point_groups
-    out = assignment.copy()
-    out[times[np.argsort(group[times], kind="stable")]] = points[
-        np.lexsort((lead[points], group[times]))
-    ]
+    lead, members = grid._point_groups
+    label = lead[assignment]
+    if np.unique(z[:, 0]).size < z.shape[0]:  # else no two rows tie
+        group = _row_groups(z + 0.0)
+        label[np.argsort(group, kind="stable")] = label[np.lexsort((label, group))]
+    # A bijection gives each label as many times as its group has members.
+    out = np.empty_like(assignment)
+    out[np.argsort(label, kind="stable")] = members
     return out
 
 
@@ -254,7 +234,7 @@ def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
     """The coupling of one residual array: validation, then, once per
     (residuals, grid) in a series scope (:func:`var_algebra._shared`), the
     column potentials ``warm(scaled residuals, grid)``, the cost reduced by
-    them, the exact solve and tie canonicalization."""
+    them, the exact solve and the canonical form of its ties."""
     z = np.asarray(residuals, dtype=float)
     if z.ndim != 2:
         raise InputError(f"residuals must be 2-d, got shape {z.shape}")
@@ -277,8 +257,7 @@ def _couple(residuals: np.ndarray, grid: BallGrid, warm) -> Coupling:
         rows, cols = linear_sum_assignment(cost)
         assignment = np.empty(n, dtype=int)
         assignment[rows] = cols
-        assignment = _sort_tied_residuals(assignment, z, grid)
-        return _from_assignment(_canonicalize_ties(assignment, grid), grid)
+        return _from_assignment(_canonical_form(assignment, z, grid), grid)
 
     # A stored Coupling holds its grid, so no id is reused while a scope is open.
     return _shared(("coupling", id(grid), z.tobytes()), solve)

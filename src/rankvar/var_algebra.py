@@ -17,11 +17,12 @@ broadcast over all blocks.
 
 Inside :func:`_series_scope` whatever the tests of one series compute from
 (series, parameter) alone is computed once and returned again for the same
-inputs, through :func:`_shared`: the operator matrices of each model, the
-finite-difference perturbations of a fitted parameter, the optimal
-couplings and the permutations of each (n, M, seed).  The Monte Carlo
-engine opens one scope per simulated series, and an identification one of
-its own when no scope is open; outside a scope nothing is kept.
+inputs, through :func:`_shared`: the operator matrices of each stack of
+models, the finite-difference perturbations of a fitted parameter, the
+optimal couplings and the permutations of each (n, M, seed).  The Monte
+Carlo engine opens one scope per simulated series, and an identification
+one of its own, which inside an open scope is that scope; outside a scope
+nothing is kept.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ _SCOPE: ContextVar[dict | None] = ContextVar("rankvar_series_scope", default=Non
 
 @contextmanager
 def _series_scope():
-    """Scope in which :func:`_shared` computes each key once."""
+    """Scope in which :func:`_shared` computes each key once.  Inside an open
+    scope this is that scope: a nested one would hide the outer memo."""
+    if _SCOPE.get() is not None:
+        yield
+        return
     token = _SCOPE.set({})
     try:
         yield
@@ -472,23 +477,18 @@ def _fundamental_rows(
 
 def _operator_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
     """:class:`OperatorMatrices` of every model of a stack that shares (d, p0,
-    p1), with one companion recursion for the models a :func:`_series_scope`
-    does not already hold (all of them outside a scope).
+    p1), with one companion recursion for the stack, once per stack in a
+    :func:`_series_scope`.
 
     The callers check p1 and n; each model must be stationary.  See
     :func:`build_operator_matrices`.
     """
-    memo = _SCOPE.get()
-    if memo is None:
-        return _build_stack(models, n)
-    keys = [("operators", m.theta.tobytes(), m.d, m.p0, m.p1, n) for m in models]
-    missing = {key: model for key, model in zip(keys, models) if key not in memo}
-    memo.update(zip(missing, _build_stack(list(missing.values()), n)))
-    return [memo[key] for key in keys]
+    key = ("operators", n, *((m.theta.tobytes(), m.d, m.p0, m.p1) for m in models))
+    return _shared(key, lambda: _build_stack(models, n))
 
 
 def _build_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
-    """The operator matrices of :func:`_operator_stack`, every model's built."""
+    """The operator matrices of :func:`_operator_stack`, without the memo."""
     if not models:
         return []
     d, p0, p1 = models[0].d, models[0].p0, models[0].p1

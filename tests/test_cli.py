@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import rankvar as rv
+from rankvar import rank_tests
 from rankvar._rng import derive_seed
-from rankvar.cli import ingest_csv, main
+from rankvar.cli import _load_theta0, ingest_csv, main
+from rankvar.simulation import parse_config
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +192,25 @@ def test_ingest_ragged_blank_and_empty(tmp_path):
     path.write_text("1,2\n")
     with pytest.raises(rv.InputError, match="at least 2 rows to difference"):
         ingest_csv(str(path), diff=True)
+
+
+def test_a_byte_order_mark_is_not_read_as_data(tmp_path):
+    # editors and spreadsheets may open a UTF-8 file with a byte order mark
+    bom = b"\xef\xbb\xbf"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(bom + b"1,2\n3,4\n5,6\n")
+    assert np.array_equal(ingest_csv(str(path)), [[1, 2], [3, 4], [5, 6]])
+    path.write_bytes(bom + b"alpha,beta\n1,2\n3,5\n")
+    assert np.array_equal(ingest_csv(str(path)), [[1, 2], [3, 5]])
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(
+        bom + b"dgp.d = 2\ndgp.p = 1\ndgp.theta = 0.1 0 0 0.1\n"
+        b"innovations.kind = normal\ntests = sign\nn = 100\nN = 5\nseed = 1\n"
+    )
+    assert parse_config(str(cfg)).d == 2
+    theta0 = tmp_path / "theta0.json"
+    theta0.write_bytes(bom + json.dumps({"d": 2, "p": 1, "A": [[[0.3, 0.1], [0.0, 0.2]]]}).encode())
+    assert np.array_equal(_load_theta0(str(theta0), None).theta, [0.3, 0.0, 0.1, 0.2])
 
 
 def test_cli_surfaces_ingest_error(tmp_path, capsys):
@@ -427,6 +448,36 @@ def test_order_failed_fit_is_numerical_failure(tmp_path, capsys, monkeypatch):
                               "--seed", "1")
     assert code == 3
     assert "least-squares fit failed" in stderr
+
+
+class NeverStationary(rv.VarModel):
+    def is_stationary(self):
+        return False
+
+
+@pytest.mark.parametrize(
+    "name, replacement, p0, message",
+    [
+        ("VarModel", NeverStationary, 1, "perturbation of coordinate 1 cannot stay stationary"),
+        ("grid_scores", lambda spec, k, grid: np.zeros((grid.n, grid.d)), 1,
+         "Delta does not move with coordinate 1"),
+        # at p0 = 0: at p0 >= 1 the ridge on Lambda*_II absorbs the small eigenvalue
+        ("score_covariance", lambda spec, d: np.diag([1e-14] + [1.0] * (d * d - 1)), 0,
+         "ill-conditioned Q'(I x C)Q"),
+    ],
+    ids=["perturbation-not-stationary", "delta-does-not-move", "ill-conditioned-k"],
+)
+def test_order_degenerate_class_is_numerical_failure(
+    tmp_path, capsys, monkeypatch, name, replacement, p0, message
+):
+    monkeypatch.setattr(rank_tests, name, replacement)
+    path = tmp_path / "x.csv"
+    write_series(path, np.random.default_rng(4).standard_normal((60, 2)))
+    code, _, stderr = run_cli(capsys, "test-order", "--data", str(path),
+                              "--p0", str(p0), "--p1", str(p0 + 1), "--score", "vdw",
+                              "--seed", "1")
+    assert code == 3
+    assert message in stderr
 
 
 # ---------------------------------------------------------------- identify

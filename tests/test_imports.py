@@ -1,9 +1,12 @@
-"""The package's imports: every top-level import is used, and the package
-loads no more of scipy than it uses.
+"""The package's imports: every top-level import is used, the series-scope
+variable is imported nowhere, and the package loads no more of scipy than
+it uses.
 
-No linter is a dependency of the package, so the first check parses each
+No linter is a dependency of the package, so the first checks parse each
 module with ``ast`` instead: a name bound by a module-level import must be
-read somewhere in the module or listed in its ``__all__``.
+read somewhere in the module or listed in its ``__all__``, and
+``var_algebra._SCOPE`` is named only by its definition and by the two
+functions that own it, ``_series_scope`` and ``_shared``.
 
 The package takes scipy's assignment solver from its compiled module, not
 through ``scipy.optimize`` (see :mod:`rankvar.transport`).  The footprint
@@ -58,6 +61,41 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scope_users(source: str) -> set[str]:
+    """The top-level functions and classes of a module that name ``_SCOPE``,
+    and ``"<module>"`` for any other top-level statement that does, except
+    the annotated assignment that defines it."""
+    users = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "_SCOPE":
+            continue
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                names.update(alias.name for alias in n.names)
+        if "_SCOPE" in names:
+            users.add(getattr(node, "name", "<module>"))
+    return users
+
+
+def test_checker_flags_a_scope_user():
+    source = (
+        "_SCOPE: dict = {}\nfrom .var_algebra import _SCOPE\n"
+        "def f():\n    return _SCOPE.get()\ndef g(m):\n    return m._SCOPE\n"
+    )
+    assert scope_users(source) == {"<module>", "f", "g"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_the_scope_functions_name_the_scope_variable(path):
+    owners = {"_series_scope", "_shared"} if path.stem == "var_algebra" else set()
+    assert scope_users(path.read_text(encoding="utf-8")) <= owners
 
 
 def run_fresh(code: str, cwd: Path) -> str:

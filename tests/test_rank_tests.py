@@ -189,6 +189,26 @@ def test_white_noise_statistic_follows_the_grid_symmetries(kind):
             assert moved == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["sign", "spearman", "vdw", "gaussian"])
+def test_white_noise_statistic_is_invariant_to_time_reversal(kind):
+    # at p0 = 0 reversing time reverses the assignment and turns every lagged
+    # cross-covariance Gamma_i into its transpose, which the statistic weighs
+    # as it weighs Gamma_i
+    rng = np.random.default_rng(15)
+    for trial in range(9):
+        d, p1 = 1 + trial % 3, 1 + trial // 3
+        n = int(rng.integers(20, 200))
+        x = rng.standard_t(3, (n, d))
+        if kind == "gaussian":
+            base = gaussian_test_order(x, 0, p1).statistic
+            back = gaussian_test_order(x[::-1], 0, p1).statistic
+        else:
+            grid = make_grid(factorize(n, d), d, seed=trial)
+            base = rv.test_order(x, 0, p1, ScoreSpec(kind), grid).statistic
+            back = rv.test_order(x[::-1], 0, p1, ScoreSpec(kind), grid).statistic
+        assert back == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12, 1e15, 1e100, 1e300])
 def test_white_noise_statistic_is_exactly_scale_invariant(scale):
     # the coupling, hence every rank statistic, ignores the residual scale

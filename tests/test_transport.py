@@ -22,11 +22,7 @@ from rankvar import (
 )
 from rankvar import transport
 from rankvar.grid import _groups
-from rankvar.transport import (
-    _canonicalize_ties,
-    _perturbed_couplings,
-    _sort_tied_residuals,
-)
+from rankvar.transport import _canonical_form, _perturbed_couplings
 from rankvar.var_algebra import _SCOPE, _pow2_scaled, _series_scope
 
 
@@ -110,8 +106,9 @@ def test_tie_canonicalization_matches_dict_oracle(trial):
         pts[dst] = pts[src]
         grid = dataclasses.replace(grid, points=pts)
     assignment = rng.permutation(n)
+    z = np.arange(n * d, dtype=float).reshape(n, d)  # no two rows tie
     want = dict_canonicalize(assignment, grid)
-    assert np.array_equal(_canonicalize_ties(assignment, grid), want)
+    assert np.array_equal(_canonical_form(assignment, z, grid), want)
 
 
 def test_canonical_assignment_ignores_which_origin_copy():
@@ -126,7 +123,7 @@ def test_canonical_assignment_ignores_which_origin_copy():
     for _ in range(10):
         shuffled = canonical.copy()
         shuffled[holders] = rng.permutation(canonical[holders])
-        assert np.array_equal(_canonicalize_ties(shuffled, grid), canonical)
+        assert np.array_equal(_canonical_form(shuffled, x, grid), canonical)
 
 
 def test_coupling_at_overflow_scale_matches_unscaled():
@@ -198,17 +195,12 @@ def cold_cost(residuals, grid):
     return (g * g).sum(1)[None, :] - 2.0 * (z @ g.T)
 
 
-def canonical(assignment, residuals, grid):
-    """The assignment with tied residual rows, then duplicate gridpoints, settled."""
-    return _canonicalize_ties(_sort_tied_residuals(assignment, residuals, grid), grid)
-
-
 def cold_assignment(residuals, grid):
     """Oracle: the canonicalized assignment of a cold solve of the full cost."""
     rows, cols = linear_sum_assignment(cold_cost(residuals, grid))
     a = np.empty(grid.n, dtype=int)
     a[rows] = cols
-    return canonical(a, residuals, grid)
+    return _canonical_form(a, residuals, grid)
 
 
 def with_duplicate_points(grid, rng, k=3):
@@ -575,4 +567,54 @@ def test_tie_canonical_form_is_the_same_on_every_tied_optimum(trial):
         grid = with_duplicate_points(grid, rng)
     a = solve_coupling(z, grid).assignment
     for _ in range(10):
-        assert np.array_equal(canonical(tie_orbit_member(a, z, grid, rng), z, grid), a)
+        assert np.array_equal(_canonical_form(tie_orbit_member(a, z, grid, rng), z, grid), a)
+
+
+def bytewise_groups(rows):
+    """For each row, the first row equal to it bytewise, and its group's size."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse, counts = np.unique(
+        keys.ravel(), return_index=True, return_inverse=True, return_counts=True
+    )
+    return first[inverse], counts[inverse]
+
+
+def two_step_form(assignment, z, grid):
+    """Oracle: the tie rule as two sorts.  First, within each group of tied
+    residual rows, the gridpoints go to the times in ascending order, sorted
+    by the lowest index of their duplicate group; then, within each
+    duplicate group, the earliest time gets the lowest gridpoint index."""
+    lead, size = bytewise_groups(grid.points)
+    out = assignment.copy()
+    group, rsize = bytewise_groups(z + 0.0)
+    times = np.flatnonzero(rsize > 1)
+    points = out[times]
+    out[times[np.argsort(group[times], kind="stable")]] = points[
+        np.lexsort((lead[points], group[times]))
+    ]
+    tied = size > 1
+    times = np.flatnonzero(tied[out])
+    members = np.flatnonzero(tied)
+    out[times[np.argsort(lead[out[times]], kind="stable")]] = members[
+        np.argsort(lead[members], kind="stable")
+    ]
+    return out
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_canonical_form_matches_the_two_step_oracle(trial):
+    # any permutation, optimal or not: tied rows from rounding (signed zeros
+    # among them), origin copies, and on half the trials duplicate gridpoints
+    rng = np.random.default_rng(1100 + trial)
+    d = 1 + trial % 3
+    n = int(rng.integers(4, 300))
+    grid = make_grid(factorize(n, d), d, seed=trial)
+    if trial % 2:
+        grid = with_duplicate_points(grid, rng, k=int(rng.integers(1, 6)))
+    z = np.round(rng.standard_normal((n, d)), trial % 3)
+    z[rng.choice(n, size=2, replace=False), 0] = [0.0, -0.0]
+    for _ in range(5):
+        assignment = rng.permutation(n)
+        assert np.array_equal(
+            _canonical_form(assignment, z, grid), two_step_form(assignment, z, grid)
+        )

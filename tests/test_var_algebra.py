@@ -338,8 +338,8 @@ def test_series_scope_builds_each_model_once():
         assert build_operator_matrices(twin, 50) is ops  # keyed on the values
         assert build_operator_matrices(model, 51) is not ops
         stack = _operator_stack([other, model, other], 50)
-        assert stack[1] is ops and stack[0] is stack[2]
-        assert build_operator_matrices(other, 50) is stack[0]
+        assert _operator_stack([other, model, other], 50) is stack  # once per stack
+        assert _operator_stack([other, model], 50) is not stack
         for _ in range(2):  # a raise is not stored
             with pytest.raises(NumericalError, match="not stationary"):
                 build_operator_matrices(explosive, 50)
