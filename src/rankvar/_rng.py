@@ -12,7 +12,17 @@ import secrets
 
 import numpy as np
 
+from ._errors import InputError
+
 __all__ = ["stream", "derive_seed", "fresh_seed"]
+
+
+def _sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    """The seed sequence of substream `path` of `seed`; a negative seed is
+    an :class:`InputError`."""
+    if int(seed) < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -20,18 +30,12 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
     Identical (seed, path) pairs always yield bit-identical streams.
     """
-    ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(int(p) for p in path)
-    )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Deterministically derive a child seed (u64) from `seed` and `path`."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(int(p) for p in path)
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])
 
 
 def fresh_seed() -> int:

@@ -6,14 +6,14 @@ The operator matrices M, Q and T = M'Q' translate the d^2 p1 central
 sequence into the span of the lagged cross-covariances up to the lag
 horizon, which they alone decide; they are built from the Green matrices of
 the autoregressive operator A(L) and from one fundamental system of the
-recursion of its right inverse D(L), the one whose initial window is the
-identity.  T does not depend on that choice (the paper's P undoes any other
-system's Casorati matrix), so P is the identity.  The matrices are built
-for a stack of models at once (a single model is the stack of one): the
-D(L) recursion runs in companion form, one batched (d x d p0)(d p0 x d p0)
-product per lag for the whole stack, each model with its own lag horizon,
-and the Kronecker expansions kron(B, I_d) behind M and Q are each one
-broadcast over all blocks.
+recursion of D(L) = A(L)', psi_t = sum_i A_i' psi_{t-i}, the one whose
+initial window is the identity.  T does not depend on that choice (the
+paper's P undoes any other system's Casorati matrix), so P is the
+identity.  The matrices are built for a stack of models at once (a single
+model is the stack of one): the D(L) recursion runs in companion form, one
+batched (d x d p0)(d p0 x d p0) product per lag for the whole stack, each
+model with its own lag horizon, and the Kronecker expansions kron(B, I_d)
+behind M and Q are each one broadcast over all blocks.
 
 Inside :func:`_series_scope` whatever the tests of one series compute from
 (series, parameter) alone is computed once and returned again for the same
@@ -149,6 +149,8 @@ class VarModel:
         p0 = len(mats)
         if p1 is None:
             p1 = p0
+        if p1 < p0:
+            raise InputError(f"need p1 >= {p0} (one block per matrix), got p1={p1}")
         theta = np.concatenate(
             [vec(a) for a in mats] + [np.zeros((p1 - p0) * d * d)]
         )
@@ -382,21 +384,6 @@ class OperatorMatrices:
     effective_lags: int = 0
 
 
-def _d_coefficients(greens: np.ndarray, p0: int) -> list[np.ndarray]:
-    """Coefficients D_1..D_p0 of the right inverse D(L) of A(L)'.
-
-    Solved by forward substitution in the triangular system
-    D_r' = -G_r - sum_{c=1}^{r-1} G_{r-c} D_c'.
-    """
-    d_t: list[np.ndarray] = []
-    for r in range(1, p0 + 1):
-        acc = -greens[r].copy()
-        for c in range(1, r):
-            acc -= greens[r - c] @ d_t[c - 1]
-        d_t.append(acc)
-    return [m.T for m in d_t]
-
-
 def _kron_eye(blocks: np.ndarray, d: int) -> np.ndarray:
     """kron(B, I_d) for every trailing 2-d block B of ``blocks``, in one broadcast."""
     *lead, r, c = blocks.shape
@@ -429,32 +416,29 @@ def _small_runs(small: np.ndarray, p0: int) -> np.ndarray:
     return runs
 
 
-def _fundamental_rows(
-    models: list[VarModel],
-    n: int,
-    d_coeffs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _fundamental_rows(models: list[VarModel], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows [psi_t^{(1)} ... psi_t^{(p0)}] of the fundamental systems of a
     stack of models that share (d, p0, p1).
 
     Rows are indexed t = p1 - p0 + 1, ... and returned as an (S, rows, d,
-    d p0) array, with ``d_coeffs`` the (S, p0, d, d) coefficients D_1..D_p0
-    of each model.  The initial window of p0 rows is the identity basis
-    (Casorati matrix = I).  Later rows follow psi_t = -sum_i D_i psi_{t-i}
-    in companion form: the p0 preceding rows, stacked, are one (d p0 x d p0)
-    matrix, and each new row is the single product [-D_p0 ... -D_1] times
-    it, one batched product per lag for the whole stack.  A model's
-    extension stops once p0 consecutive rows fall below 1e-12 in max norm
-    (all later rows are then negligible) or at t = n - 1, and its trailing
-    rows below that bound are dropped: model s keeps rows[s, :length[s]],
-    its lag horizon is (p1 - p0) + length[s], and the second return value
-    holds those horizons.
+    d p0) array.  The initial window of p0 rows is the identity basis
+    (Casorati matrix = I).  Later rows follow the recursion of D(L) = A(L)',
+    psi_t = sum_i A_i' psi_{t-i}, in companion form: the p0 preceding rows,
+    stacked, are one (d p0 x d p0) matrix, and each new row is the single
+    product [A_p0' ... A_1'] times it, one batched product per lag for the
+    whole stack.  A model's extension stops once p0 consecutive rows fall
+    below 1e-12 in max norm (all later rows are then negligible) or at
+    t = n - 1, and its trailing rows below that bound are dropped: model s
+    keeps rows[s, :length[s]], its lag horizon is (p1 - p0) + length[s], and
+    the second return value holds those horizons.
     """
     d, p0, p1 = models[0].d, models[0].p0, models[0].p1
     dp, stack = d * p0, len(models)
     rows = np.empty((stack, n - 1 - (p1 - p0), d, dp))
     rows[:, :p0] = np.eye(dp).reshape(p0, d, dp)
-    step = -d_coeffs[:, ::-1].transpose(0, 2, 1, 3).reshape(stack, d, dp)
+    # The row-major (d, d) blocks of theta are A_1', ..., A_p1'.
+    a_t = np.stack([m.theta for m in models]).reshape(stack, p1, d, d)[:, :p0]
+    step = a_t[:, ::-1].transpose(0, 2, 1, 3).reshape(stack, d, dp)
     flat = rows.reshape(stack, -1, dp)  # row k is flat[:, k d:(k + 1) d]
     small = np.zeros((stack, rows.shape[1]), dtype=bool)
     k = p0
@@ -495,13 +479,12 @@ def _build_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
     for model in models:
         _require_stationary(model)
     d2 = d * d
-    greens = np.stack([_greens(model, p1) for model in models])
-    ms = _lower_block_toeplitz(_kron_eye(greens[:, :p1].transpose(0, 1, 3, 2), d))
+    greens = np.stack([_greens(model, p1 - 1) for model in models])
+    ms = _lower_block_toeplitz(_kron_eye(greens.transpose(0, 1, 3, 2), d))
 
     head = d2 * (p1 - p0)
     if p0 > 0:
-        d_coeffs = np.stack([np.stack(_d_coefficients(g, p0)) for g in greens])
-        rows, horizons = _fundamental_rows(models, n, d_coeffs)
+        rows, horizons = _fundamental_rows(models, n)
     else:
         horizons = np.full(len(models), p1)
     out = []
@@ -526,11 +509,11 @@ def build_operator_matrices(model: VarModel, n: int) -> OperatorMatrices:
 
     M is the Kronecker-expanded block triangular matrix of the Green
     matrices of A(L).  Q stacks an identity block of size d^2 (p1 - p0)
-    over the Kronecker-expanded fundamental solutions of the D(L)
-    recursion, up to the lag horizon ``effective_lags``.  The fundamental
-    system is the one whose initial window is the identity, so its
-    Casorati matrix is I and P = I; T would be the same under any other
-    system.
+    over the Kronecker-expanded fundamental solutions of the recursion of
+    D(L) = A(L)', psi_t = sum_i A_i' psi_{t-i}, up to the lag horizon
+    ``effective_lags``.  The fundamental system is the one whose initial
+    window is the identity, so its Casorati matrix is I and P = I; T would
+    be the same under any other system.
 
     Parameters
     ----------

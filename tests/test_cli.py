@@ -673,3 +673,26 @@ def test_unknown_subcommand_and_help(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "test-order" in out and "identify" in out
+
+
+@pytest.mark.parametrize("command", ["grid", "simulate", "test-order", "mc"])
+def test_a_negative_seed_is_input_error(white_csv, tmp_path, capsys, command):
+    # unchecked, numpy's seed sequence refuses it with a bare ValueError
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "dgp.d = 2\ndgp.p = 1\ndgp.theta = 0.3, 0.1, -0.1, 0.2\n"
+        "innovations.kind = normal\ntests = sign, gaussian\n"
+        f"n = 60\nN = 2\nM = 59\nseed = -1\nout = {out}\n"
+    )
+    argv = {
+        "grid": ["--n", "100", "--d", "2", "--seed", "-1", "--out", str(out)],
+        "simulate": ["--n", "80", "--d", "2", "--seed", "-1", "--out", str(out)],
+        "test-order": ["--data", white_csv, "--p0", "0", "--p1", "1",
+                       "--score", "vdw", "--seed", "-1"],
+        "mc": ["--config", str(cfg)],
+    }[command]
+    code, stdout, stderr = run_cli(capsys, command, *argv)
+    assert code == 2 and stdout == ""
+    assert "error: seed must be a non-negative integer, got -1" in stderr
+    assert not out.exists()

@@ -99,6 +99,11 @@ def test_sampler_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_sampler_refuses_a_negative_seed():
+    with pytest.raises(InputError, match="non-negative"):
+        sample_innovations(InnovationModel.gaussian(2), 50, 2, seed=-1)
+
+
 def test_sampler_accepts_generator():
     model = InnovationModel.gaussian(2)
     g = np.random.default_rng(5)
@@ -613,9 +618,9 @@ def test_identification_builds_each_model_once_per_series(monkeypatch):
     rows, shared = var_algebra._fundamental_rows, rank_tests._shared
     draw = rank_tests._draw_permutations
 
-    def counted_rows(models, n, d_coeffs):
+    def counted_rows(models, n):
         recursions.append(len(models))
-        return rows(models, n, d_coeffs)
+        return rows(models, n)
 
     def counted_shared(key, compute):
         def run():

@@ -17,12 +17,24 @@ from rankvar import (
 )
 from rankvar.var_algebra import (
     _SCOPE,
-    _d_coefficients,
     _fundamental_rows,
     _greens,
     _operator_stack,
     _series_scope,
 )
+
+
+def solve_d_coefficients(greens, p0):
+    """Oracle: D_1..D_p0 of D(L) = I + sum_i D_i L^i from its defining
+    equation G(L) D'(L) = I, by forward substitution in the triangular
+    system D_r' = -G_r - sum_{c=1}^{r-1} G_{r-c} D_c'."""
+    d_t = []
+    for r in range(1, p0 + 1):
+        acc = -greens[r].copy()
+        for c in range(1, r):
+            acc -= greens[r - c] @ d_t[c - 1]
+        d_t.append(acc)
+    return [m.T for m in d_t]
 
 
 def kron_loop_operators(model, n, fundamental="identity"):
@@ -49,7 +61,7 @@ def kron_loop_operators(model, n, fundamental="identity"):
     p_mat = np.eye(d2 * p1)
     effective = p1
     if p0 > 0:
-        d_coeffs = _d_coefficients(greens, p0)
+        d_coeffs = solve_d_coefficients(greens, p0)
         rows = []
         if fundamental == "identity":
             for a in range(p0):
@@ -158,6 +170,13 @@ def test_from_matrices_and_coefficient():
         model.coefficient(4)
 
 
+def test_from_matrices_refuses_an_order_below_its_matrices():
+    # unchecked, the negative zero padding raises numpy's bare ValueError
+    a1 = np.array([[0.3, 0.12], [-0.06, 0.24]])
+    with pytest.raises(InputError, match="need p1 >= 2"):
+        VarModel.from_matrices([a1, a1], p1=1)
+
+
 def test_spectral_radius():
     m1 = VarModel.from_matrices([np.array([[0.5]])])
     assert np.isclose(m1.spectral_radius(), 0.5)
@@ -209,11 +228,26 @@ def test_green_right_convolution(trial):
 
 
 def test_d_coefficients_are_negated_transposes():
+    # the oracle's solve of G(L) D'(L) = I gives D(L) = A(L)', which the
+    # package reads off theta
     rng = np.random.default_rng(17)
     model = random_stationary(rng, 3, 3)
     g = _greens(model, 3)
-    for d_i, a_i in zip(_d_coefficients(g, 3), model.a_list):
+    for d_i, a_i in zip(solve_d_coefficients(g, 3), model.a_list):
         assert np.allclose(d_i, -a_i.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("trial", range(4))
+@pytest.mark.parametrize("p0", [2, 3])
+def test_first_row_past_the_identity_window_is_the_companion_step(p0, trial):
+    # row p0 is [A_p0' ... A_1'] times the identity window, so it equals the
+    # transposed coefficients exactly
+    rng = np.random.default_rng(7100 + 10 * p0 + trial)
+    for d in (1, 2, 3):
+        model = random_stationary(rng, d, p0, p1=p0 + trial % 2)
+        rows, _ = _fundamental_rows([model], 80)
+        want = np.hstack([a.T for a in model.a_list[::-1]])
+        assert np.array_equal(rows[0, p0], want)
 
 
 def test_operator_matrices_structure():
@@ -308,10 +342,9 @@ def test_stacked_builds_equal_single_builds(d, p0, extra, size, full_horizon, se
         a1 = np.diag(np.linspace(0.97, 0.5, d))
         slow = VarModel.from_matrices([a1] + [np.zeros((d, d))] * (p0 - 1), p1=p1)
         models.insert(int(rng.integers(0, size + 1)), slow)
-    d_coeffs = np.stack([np.stack(_d_coefficients(_greens(m, p1), p0)) for m in models])
-    rows, horizons = _fundamental_rows(models, n, d_coeffs)
+    rows, horizons = _fundamental_rows(models, n)
     for k, model in enumerate(models):
-        alone, (horizon,) = _fundamental_rows([model], n, d_coeffs[k : k + 1])
+        alone, (horizon,) = _fundamental_rows([model], n)
         length = horizon - (p1 - p0)
         assert horizons[k] == horizon
         assert np.array_equal(rows[k, :length], alone[0, :length])
