@@ -229,8 +229,10 @@ def cmd_grid(args) -> int:
 def cmd_ranks(args) -> int:
     x = ingest_csv(args.data, diff=args.diff, demean=args.demean)
     n, d = x.shape
-    seed = _seed_or_fresh(args)
+    seed = None
     if args.grid is not None:
+        if args.seed is not None:
+            raise InputError("--grid draws nothing: drop --seed")
         points = ingest_csv(args.grid)
         if points.shape != (n, d):
             raise InputError(
@@ -239,6 +241,7 @@ def cmd_ranks(args) -> int:
             )
         grid = _reconstruct_grid(points)
     else:
+        seed = _seed_or_fresh(args)
         grid = _seeded_grid(n, d, seed)
     coupling = solve_coupling(x, grid)
     observations = [
@@ -341,10 +344,15 @@ def cmd_identify(args) -> int:
 def cmd_simulate(args) -> int:
     if args.p is not None and args.theta is None:
         raise InputError("--p needs --theta")
+    if args.ell is not None and args.theta is None:
+        raise InputError("--ell needs --theta")
+    if args.nu is not None and args.innovations != "student":
+        raise InputError("--nu needs --innovations student")
     if (args.contaminate_fraction is None) != (args.contaminate_size is None):
         raise InputError("--contaminate-fraction and --contaminate-size must be given together")
     seed = _seed_or_fresh(args)
     d = args.d
+    ell = 1.0 if args.ell is None else args.ell
     if args.theta is not None:
         theta = np.asarray(_floats(args.theta))
         if args.p is None and theta.size % (d * d):
@@ -352,11 +360,11 @@ def cmd_simulate(args) -> int:
                 f"--theta has {theta.size} entries, not a multiple of d^2 = {d * d}"
             )
         p = args.p if args.p is not None else theta.size // (d * d)
-        model = VarModel(d=d, p0=p, p1=p, theta=args.ell * theta)
+        model = VarModel(d=d, p0=p, p1=p, theta=ell * theta)
     else:
         model = VarModel(d=d, p0=1, p1=1, theta=np.zeros(d * d))
     if args.innovations == "student":
-        innov = InnovationModel.student(d, args.nu)
+        innov = InnovationModel.student(d, 3.0 if args.nu is None else args.nu)
     else:
         innov = innovation_preset(args.innovations, d)
     eps = sample_innovations(innov, args.n + _BURN_IN, d, derive_seed(seed, 2))
@@ -368,7 +376,7 @@ def cmd_simulate(args) -> int:
     _emit(
         "simulate",
         {
-            "n": args.n, "d": d, "p": model.p0, "ell": args.ell,
+            "n": args.n, "d": d, "p": model.p0, "ell": ell,
             "innovations": args.innovations, "out": args.out,
         },
         seed,
@@ -475,11 +483,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int)
     p.add_argument("--theta", help="comma-separated vec(A_1),...,vec(A_p)")
-    p.add_argument("--ell", type=float, default=1.0,
-                   help="scale multiplier on the coefficient matrices")
+    p.add_argument("--ell", type=float,
+                   help="scale multiplier on the coefficient matrices (default 1)")
     p.add_argument("--innovations", default="normal",
                    choices=["normal", "t3", "mixture", "skewt3", "student"])
-    p.add_argument("--nu", type=float, default=3.0)
+    p.add_argument("--nu", type=float,
+                   help="degrees of freedom of --innovations student (default 3)")
     p.add_argument("--contaminate-fraction", type=float, dest="contaminate_fraction")
     p.add_argument("--contaminate-size", dest="contaminate_size",
                    help="comma-separated outlier vector")

@@ -36,24 +36,13 @@ from .rank_tests import (
 from .var_algebra import (
     VarModel,
     _pow2_normalized,
+    _series,
     build_operator_matrices,
     fit_constrained_ls,
     residuals,
 )
 
 __all__ = ["gaussian_test_specified", "gaussian_test_order"]
-
-
-def _validate_series(x) -> np.ndarray:
-    """The series as floats, brought to max |x| in [1/2, 1) by an exact power
-    of two: the statistics are scale invariant, and at that scale the fourth
-    moments in L and Lambda neither overflow nor underflow."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InputError(f"series must be 2-d, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("series contains non-finite entries")
-    return _pow2_normalized(x)
 
 
 def _center(z: np.ndarray) -> np.ndarray:
@@ -94,7 +83,9 @@ def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOut
     Residuals that are all equal from row p0 on (a constant series) raise
     :class:`InputError`, as in the rank tests.
     """
-    x = _validate_series(x)
+    # The statistics are scale invariant; at max |x| in [1/2, 1) the fourth
+    # moments in L and Lambda neither overflow nor underflow.
+    x = _pow2_normalized(_series(x))
     n, d = x.shape
     if theta0.d != d:
         raise InputError(f"theta0 has d={theta0.d}, series has d={d}")
@@ -136,7 +127,7 @@ def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome
     level is large against its scale should be demeaned first (the CLI's
     ``--demean``).
     """
-    x = _validate_series(x)
+    x = _pow2_normalized(_series(x))  # as in gaussian_test_specified
     n, d = x.shape
     if not 0 <= p0 < p1:
         raise InputError(f"need 0 <= p0 < p1, got p0={p0}, p1={p1}")

@@ -25,7 +25,7 @@ from .gaussian_tests import gaussian_test_order
 from .grid import BallGrid, _seeded_grid
 from .rank_tests import TestOutcome, test_order
 from .scores import ScoreSpec
-from .var_algebra import _series_scope
+from .var_algebra import _series, _series_scope
 
 __all__ = ["IdentificationTrace", "IdentificationError", "identify_order"]
 
@@ -116,9 +116,7 @@ def identify_order(
         When a step fails numerically; the partial trace rides along on the
         exception's ``trace`` attribute.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InputError(f"series must be 2-d, got shape {x.shape}")
+    x = _series(x)
     n, d = x.shape
     if max_order is None:
         max_order = int(np.floor(n ** (1.0 / 3.0)))

@@ -65,6 +65,7 @@ from .var_algebra import (
     VarModel,
     _operator_stack,
     _require_stationary,
+    _series,
     _shared,
     build_operator_matrices,
     fit_constrained_ls,
@@ -239,11 +240,7 @@ def _permutation_calibration(stats: np.ndarray, observed: float, alpha: float):
 
 
 def _validate_inputs(x, grid: BallGrid, alpha: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InputError(f"series must be 2-d, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("series contains non-finite entries")
+    x = _series(x)
     if x.shape[0] != grid.n:
         raise InputError(f"grid has {grid.n} points for n={x.shape[0]} observations")
     if x.shape[1] != grid.d:

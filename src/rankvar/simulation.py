@@ -27,7 +27,7 @@ from ._rng import derive_seed, stream
 from .grid import BallGrid, _seeded_grid
 from .order_id import _order_test, identify_order
 from .scores import ScoreSpec, chisq_quantile
-from .var_algebra import VarModel, _series_scope, simulate_var
+from .var_algebra import VarModel, _series, _series_scope, simulate_var
 
 __all__ = [
     "InnovationModel",
@@ -267,9 +267,7 @@ class ContaminationSpec:
 
 def contaminate(x: np.ndarray, spec: ContaminationSpec) -> np.ndarray:
     """Apply additive outliers, then demean the result."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InputError(f"series must be 2-d, got shape {x.shape}")
+    x = _series(x)
     if spec.size.size != x.shape[1]:
         raise InputError(
             f"outlier size has {spec.size.size} entries for d={x.shape[1]}"

@@ -103,7 +103,7 @@ class VarModel:
         Null order: the number of leading coefficient blocks that may be
         nonzero.
     p1 : int
-        Alternative order, p1 >= p0.  Blocks p0+1..p1 of theta must be zero.
+        Alternative order, p1 >= max(p0, 1).  Blocks p0+1..p1 of theta are 0.
     theta : (p1 * d**2,) array
         Stacked (vec A_1, ..., vec A_p1), column-major; stored as a
         read-only copy, so the spectral radius is computed once per model.
@@ -117,8 +117,8 @@ class VarModel:
     def __post_init__(self):
         if self.d < 1:
             raise InputError(f"need d >= 1, got {self.d}")
-        if not 0 <= self.p0 <= self.p1:
-            raise InputError(f"need 0 <= p0 <= p1, got p0={self.p0}, p1={self.p1}")
+        if not 0 <= self.p0 <= self.p1 or self.p1 < 1:
+            raise InputError(f"need 0 <= p0 <= p1 and p1 >= 1, got p0={self.p0}, p1={self.p1}")
         theta = np.array(self.theta, dtype=float).reshape(-1)
         theta.setflags(write=False)
         if theta.size != self.p1 * self.d ** 2:
@@ -227,6 +227,17 @@ def simulate_var(
     return x[burn_in:]
 
 
+def _series(x) -> np.ndarray:
+    """The observed series as a float array, refused unless it is 2-d and
+    finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise InputError(f"series must be 2-d, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("series contains non-finite entries")
+    return x
+
+
 def _pow2_normalized(x: np.ndarray) -> np.ndarray:
     """x brought to max |x| in [1/2, 1) by an exact power of two.  Zero
     stays zero.
@@ -277,8 +288,8 @@ def fit_constrained_ls(
 
     The series is demeaned and X_t regressed on (X_{t-1}, ..., X_{t-p0})
     without intercept; the estimate is returned in null form with trailing
-    zero blocks up to p1.  For p0 = 0 there is nothing to fit and the zero
-    model is returned.
+    zero blocks up to p1, which defaults to max(p0, 1).  For p0 = 0 there
+    is nothing to fit and the zero model is returned.
 
     The root-n-consistent estimate is rounded to a lattice of pitch
     n^{-1/2}/100, fine enough to be numerically inert while making the
@@ -292,20 +303,16 @@ def fit_constrained_ls(
     NumericalError
         If the regressor matrix is rank deficient or the solver fails.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InputError(f"series must be 2-d, got shape {x.shape}")
+    x = _series(x)
     n, d = x.shape
     if p0 < 0:
         raise InputError(f"need p0 >= 0, got {p0}")
     if p1 is None:
-        p1 = p0
+        p1 = max(p0, 1)
     if p1 < max(p0, 1):
         raise InputError(f"need p1 >= max(p0, 1), got p0={p0}, p1={p1}")
     if n <= d * p0 + 10:
         raise InputError(f"need n > d*p0 + 10 = {d * p0 + 10}, got n={n}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("series contains non-finite entries")
     if p0 == 0:
         return VarModel(d=d, p0=0, p1=p1, theta=np.zeros(p1 * d * d))
 
@@ -464,7 +471,7 @@ def _operator_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
     p1), with one companion recursion for the stack, once per stack in a
     :func:`_series_scope`.
 
-    The callers check p1 and n; each model must be stationary.  See
+    The callers check n; each model must be stationary.  See
     :func:`build_operator_matrices`.
     """
     key = ("operators", n, *((m.theta.tobytes(), m.d, m.p0, m.p1) for m in models))
@@ -522,8 +529,6 @@ def build_operator_matrices(model: VarModel, n: int) -> OperatorMatrices:
     n : int
         Sample size; must exceed p1 + 1.
     """
-    if model.p1 < 1:
-        raise InputError("need p1 >= 1 to build operator matrices")
     if n <= model.p1 + 1:
         raise InputError(f"need n > p1 + 1 = {model.p1 + 1}, got n={n}")
     return _operator_stack([model], n)[0]

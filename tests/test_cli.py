@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rankvar as rv
-from rankvar import rank_tests
+from rankvar import rank_tests, transport
 from rankvar._rng import derive_seed
 from rankvar.cli import _load_theta0, ingest_csv, main
 from rankvar.simulation import parse_config
@@ -123,6 +123,23 @@ def test_ranks_grid_round_trip(white_csv, tmp_path, capsys):
     assert np.allclose(f, coupling.f_values)
 
 
+def test_ranks_with_a_grid_file_takes_no_seed(white_csv, tmp_path, capsys):
+    # a grid file leaves nothing to draw: no seed is echoed and none accepted
+    gpath = tmp_path / "g.csv"
+    assert run_cli(capsys, "grid", "--n", "100", "--d", "2", "--seed", "3",
+                   "--out", str(gpath))[0] == 0
+    out = tmp_path / "r.json"
+    code, _, stderr = run_cli(capsys, "ranks", "--data", white_csv, "--grid", str(gpath),
+                              "--seed", "5", "--out", str(out))
+    assert code == 2
+    assert "--grid draws nothing" in stderr
+    assert not out.exists()
+    code, stdout, _ = run_cli(capsys, "ranks", "--data", white_csv, "--grid", str(gpath),
+                              "--out", str(out))
+    assert code == 0
+    assert report_of(stdout)["seed"] is None
+
+
 def test_ranks_grid_shape_mismatch(white_csv, tmp_path, capsys):
     gpath = tmp_path / "g.csv"
     assert run_cli(capsys, "grid", "--n", "60", "--d", "2", "--seed", "3",
@@ -153,6 +170,14 @@ def test_fit_matches_library(var1_csv, capsys):
     assert rep["results"]["d"] == 2 and rep["results"]["p0"] == 1
     assert np.allclose(rep["results"]["A"][0], model.coefficient(1))
     assert np.allclose(rep["results"]["theta"], model.theta)
+
+
+def test_fit_at_order_zero_reports_the_zero_model(var1_csv, capsys):
+    # the fit's default frame was VAR(p0), refused at p0 = 0 with a message
+    # about p1, a flag fit does not have
+    code, stdout, _ = run_cli(capsys, "fit", "--data", var1_csv, "--p0", "0")
+    assert code == 0
+    assert report_of(stdout)["results"] == {"d": 2, "p0": 0, "A": [], "theta": [0.0] * 4}
 
 
 # ------------------------------------------------------------------ ingest
@@ -354,6 +379,22 @@ def test_spec_theta0_validation(white_csv, tmp_path, capsys):
                               "--theta0", str(bad), "--score", "sign", "--seed", "1")
     assert code == 2
     assert "lists 1 matrices" in stderr
+
+
+@pytest.mark.parametrize("score", ["gaussian", "vdw"])
+def test_spec_refuses_a_null_with_no_lag(white_csv, tmp_path, capsys, monkeypatch, score):
+    # p = 0 without --p1 leaves a frame of no lags: the Gaussian test used to
+    # answer it with df 0, a NaN p-value and no rejection
+    solves = []
+    solver = transport.linear_sum_assignment
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda cost: solves.append(cost.shape) or solver(cost))
+    t0 = write_theta0(tmp_path, 2, [])
+    code, stdout, stderr = run_cli(capsys, "test-spec", "--data", white_csv,
+                                   "--theta0", t0, "--score", score)
+    assert code == 2
+    assert "p1 >= 1" in stderr
+    assert stdout == "" and solves == []
 
 
 # -------------------------------------------------------------- test-order
@@ -569,6 +610,29 @@ def test_simulate_defaults_and_contamination(tmp_path, capsys):
                          "--seed", "9", "--contaminate-fraction", "0.05",
                          "--contaminate-size", "9,9", "--out", str(out))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        pytest.param(["--innovations", "t3", "--nu", "7"], "--nu needs --innovations student",
+                     id="nu"),
+        pytest.param(["--ell", "3"], "--ell needs --theta", id="ell"),
+    ],
+)
+def test_simulate_refuses_a_flag_it_does_not_read(tmp_path, capsys, flags, message):
+    # t3 with --nu 7 used to sample t3 with nu = 3, and --ell without
+    # --theta was echoed in the report unused
+    out = tmp_path / "s.csv"
+    base = ["simulate", "--n", "50", "--d", "2", "--seed", "9", "--out", str(out)]
+    code, _, stderr = run_cli(capsys, *base, *flags)
+    assert code == 2
+    assert message in stderr
+    assert not out.exists()
+    # without the unread flag and its value the call runs, at ell = 1
+    code, stdout, _ = run_cli(capsys, *base, *flags[:-2])
+    assert code == 0
+    assert report_of(stdout)["config"]["ell"] == 1.0
 
 
 def test_simulate_refuses_an_order_without_coefficients(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
+import rankvar as rv
 from rankvar import (
     InputError,
     NumericalError,
@@ -157,6 +158,35 @@ def test_model_validation():
         VarModel(d=2, p0=0, p1=1, theta=np.ones(4))  # nonzero beyond p0
     with pytest.raises(InputError):
         VarModel(d=2, p0=1, p1=1, theta=np.full(4, np.nan))
+    with pytest.raises(InputError, match="p1 >= 1"):
+        VarModel(d=2, p0=0, p1=0, theta=[])  # a null with no lag to test
+
+
+_GRID = rv.make_grid(rv.factorize(60, 2), 2, seed=0)
+_NULL = VarModel(d=2, p0=0, p1=1, theta=np.zeros(4))
+_SERIES_ENTRIES = {
+    "test_specified": lambda x: rv.test_specified(x, _NULL, rv.ScoreSpec("sign"), _GRID),
+    "test_order": lambda x: rv.test_order(x, 0, 1, rv.ScoreSpec("sign"), _GRID),
+    "gaussian_test_specified": lambda x: rv.gaussian_test_specified(x, _NULL),
+    "gaussian_test_order": lambda x: rv.gaussian_test_order(x, 0, 1),
+    "identify_order": lambda x: rv.identify_order(x, "gaussian"),
+    "fit_constrained_ls": lambda x: fit_constrained_ls(x, 1),
+    "contaminate": lambda x: rv.contaminate(x, rv.ContaminationSpec(0.1, [1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SERIES_ENTRIES))
+@pytest.mark.parametrize("bad", ["1-d", "nan"])
+def test_every_series_entry_refuses_a_malformed_series(entry, bad):
+    x = np.random.default_rng(4).standard_normal((60, 2))
+    if bad == "1-d":
+        x = x[:, 0]
+        message = "series must be 2-d"
+    else:
+        x[7, 1] = np.nan
+        message = "series contains non-finite entries"
+    with pytest.raises(InputError, match=message):
+        _SERIES_ENTRIES[entry](x)
 
 
 def test_from_matrices_and_coefficient():
@@ -448,6 +478,13 @@ def test_fit_edge_cases():
     const = np.ones((100, 2))
     with pytest.raises(NumericalError):
         fit_constrained_ls(const, 1)  # demeaned design is all zeros
+
+
+def test_fit_at_order_zero_defaults_to_a_var1_frame():
+    # with p1 defaulting to p0, this call asked for the refused frame p1 = 0
+    zero = fit_constrained_ls(np.random.default_rng(3).standard_normal((50, 2)), 0)
+    assert (zero.p0, zero.p1) == (0, 1)
+    assert np.array_equal(zero.theta, np.zeros(4))
 
 
 @pytest.mark.parametrize("d,p0", [(1, 3), (2, 1), (2, 2), (3, 1)])
