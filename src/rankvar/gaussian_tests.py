@@ -93,7 +93,6 @@ def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOut
         raise InputError(f"need 0 < alpha < 1, got {alpha}")
     if n <= theta0.p1 + 1:
         raise InputError(f"series too short for p1={theta0.p1}")
-    df = d * d * theta0.p1
 
     if not theta0.theta.any():
         # S_N(0) = W_N(0) = v'(I_{p1} kron L)^{-1} v on the centered data.
@@ -109,7 +108,7 @@ def gaussian_test_specified(x, theta0: VarModel, alpha: float = 0.05) -> TestOut
         a = ops.Q.T
         k_inv = _solve_spd(a @ a.T, "Q'Q")
     meta = _meta("gaussian", n, d, theta0.p0, theta0.p1)
-    return _outcome(z, 0.0, a, k_inv, df, alpha, meta)
+    return _outcome(z, 0.0, a, k_inv, alpha, meta)
 
 
 def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome:
@@ -150,4 +149,4 @@ def gaussian_test_order(x, p0: int, p1: int, alpha: float = 0.05) -> TestOutcome
     k_inv = _solve_spd(lam_star, "Lambda*_II;N", ridge=True)
     a = t[k:] - bmat @ t[:k]
     meta = _meta("gaussian", n, d, p0, p1)
-    return _outcome(z, 0.0, a, k_inv, d * d * (p1 - p0), alpha, meta)
+    return _outcome(z, 0.0, a, k_inv, alpha, meta)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._errors import InputError, NumericalError
 from ._rng import fresh_seed
 from .gaussian_tests import gaussian_test_order
@@ -119,7 +117,10 @@ def identify_order(
     x = _series(x)
     n, d = x.shape
     if max_order is None:
-        max_order = int(np.floor(n ** (1.0 / 3.0)))
+        # floor(n^(1/3)), exact: the float cube root of k^3 can fall below k
+        max_order = round(n ** (1.0 / 3.0))
+        while max_order**3 > n:
+            max_order -= 1
     if max_order < 0:
         raise InputError(f"need max_order >= 0, got {max_order}")
     if n <= d * max_order + 10:

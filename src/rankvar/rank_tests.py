@@ -87,23 +87,26 @@ _GATHER = 128
 class TestOutcome:
     """Result of one hypothesis test.
 
-    ``reject`` always equals ``statistic > critical_value``; with
-    permutational calibration the critical value is the order statistic
-    that makes this equivalent to ``p_permutational <= alpha``, ties
-    included.
+    The asymptotic p-value and the decision are read off the statistic:
+    ``p_asymptotic`` is the chi-square(df) tail at it, and ``reject`` is
+    ``statistic > critical_value``.  With permutational calibration the
+    critical value is the order statistic that makes ``reject`` equivalent
+    to ``p_permutational <= alpha``, ties included.
     """
 
     statistic: float
     df: int
-    p_asymptotic: float
     p_permutational: float | None
     critical_value: float
-    reject: bool
     meta: dict
 
-    def __post_init__(self):
-        if self.reject != (self.statistic > self.critical_value):
-            raise InputError("reject flag inconsistent with critical value")
+    @property
+    def p_asymptotic(self) -> float:
+        return float(chisq_sf(self.statistic, self.df))
+
+    @property
+    def reject(self) -> bool:
+        return self.statistic > self.critical_value
 
     def to_dict(self) -> dict:
         return {
@@ -279,10 +282,11 @@ def _meta(score: str, n: int, d: int, p0: int, p1: int, M=None, seed=None) -> di
     return {"score": score, "n": n, "d": d, "p0": p0, "p1": p1, "M": M, "seed": seed}
 
 
-def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
+def _outcome(s, m_vec, a, k_inv, alpha, meta, perms=None) -> TestOutcome:
     """Evaluate h' K^{-1} h, h = A v, and calibrate it.
 
-    The lag horizon is the width of A in d^2 blocks.  The observed
+    The degrees of freedom are the rows of A (K^{-1} is df x df), and the
+    lag horizon is the width of A in d^2 blocks.  The observed
     statistic is the identity permutation's value; with ``perms``, a
     future of an (M, n) permutation array (see :func:`_permutations`), the
     same kernel evaluates the permuted assignments, ``_PERM_CHUNK`` rows at
@@ -291,7 +295,7 @@ def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
     raises :class:`NumericalError`.
     """
     n, d = s.shape
-    L = a.shape[1] // (d * d)
+    df, L = a.shape[0], a.shape[1] // (d * d)
 
     def forms(rows):
         v = np.empty((len(rows), a.shape[1]))
@@ -303,7 +307,6 @@ def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
     statistic = float(forms(np.arange(n)[None, :])[0])
     if not np.isfinite(statistic):
         raise NumericalError(f"non-finite statistic {statistic}")
-    p_asym = float(chisq_sf(statistic, df))
     if perms is None:
         p_perm, cv = None, float(chisq_quantile(df, 1.0 - alpha))
     else:
@@ -312,15 +315,7 @@ def _outcome(s, m_vec, a, k_inv, df, alpha, meta, perms=None) -> TestOutcome:
             [forms(rows[i : i + _PERM_CHUNK]) for i in range(0, len(rows), _PERM_CHUNK)]
         )
         p_perm, cv = _permutation_calibration(stats, statistic, alpha)
-    return TestOutcome(
-        statistic=statistic,
-        df=df,
-        p_asymptotic=p_asym,
-        p_permutational=p_perm,
-        critical_value=cv,
-        reject=statistic > cv,
-        meta=meta,
-    )
+    return TestOutcome(statistic, df, p_perm, cv, meta)
 
 
 def _require_varying(z: np.ndarray, p0: int) -> None:
@@ -335,12 +330,12 @@ def _require_varying(z: np.ndarray, p0: int) -> None:
 def _deltas(models: list[VarModel], x: np.ndarray, table: np.ndarray, grid: BallGrid, m_vec):
     """Scores and operator matrices at ``models[0]``, and the central
     sequence Delta at every model of the stack, as a (len(models), d^2 p1)
-    array.
+    array: the fitted model of an order test and its perturbations.
 
     ``table`` holds the gridpoint scores.  The first model is coupled and
     built by the public :func:`solve_coupling` and
-    :func:`build_operator_matrices`; the others, perturbations of it that
-    share its orders, are coupled warm from its coupling's potentials and
+    :func:`build_operator_matrices`; the others, its p0 d^2 >= 1
+    perturbations, are coupled warm from its coupling's potentials and
     built as one stack.  One :func:`_lag_stacks` call forms the lagged
     cross-covariances of every model at the largest lag horizon, and each
     Delta reads only its own model's horizon.  Delta is the map whose local
@@ -392,11 +387,13 @@ def test_specified(
         raise InputError(f"theta0 has d={theta0.d}, series has d={d}")
     with _permutations(n, M, seed) as (seed, perms):
         table, m_vec = _scores_and_centering(spec, grid)
-        s, ops, _ = _deltas([theta0], x, table, grid, m_vec)
-        a = ops.Q.T
+        z = residuals(x, theta0)
+        _require_varying(z, theta0.p0)
+        s = np.take(table, solve_coupling(z, grid).assignment, axis=0)
+        a = build_operator_matrices(theta0, n).Q.T
         k_inv = _solve_spd(_block_gram(a, score_covariance(spec, d)), "Q'(I x C)Q")
         meta = _meta(spec.kind, n, d, theta0.p0, theta0.p1, M, seed)
-        return _outcome(s, m_vec, a, k_inv, d * d * theta0.p1, alpha, meta, perms)
+        return _outcome(s, m_vec, a, k_inv, alpha, meta, perms)
 
 
 def _perturbations(theta_hat: VarModel, n: int) -> tuple[tuple[VarModel, ...], np.ndarray]:
@@ -497,8 +494,7 @@ def test_order(
         models, steps = _perturbations(theta_hat, n)
         s, ops, deltas = _deltas([theta_hat, *models], x, table, grid, m_vec)
         ups = _upsilon(deltas, steps, n)
-        d2 = d * d
-        k = d2 * p0
+        k = d * d * p0
         # Upsilon_11 is only symmetric in the limit; invert it as-is, with the
         # trace ridge, solving from the right for B = Upsilon_21 Upsilon_11^{-1}.
         u11 = ups[:k] + 1e-10 * abs(np.trace(ups[:k])) * np.eye(k)
@@ -516,4 +512,4 @@ def test_order(
             _block_gram(a, score_covariance(spec, d)), "Lambda*_II", ridge=True
         )
         meta = _meta(spec.kind, n, d, p0, p1, M, seed)
-        return _outcome(s, m_vec, a, k_inv, d2 * (p1 - p0), alpha, meta, perms)
+        return _outcome(s, m_vec, a, k_inv, alpha, meta, perms)

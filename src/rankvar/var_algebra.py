@@ -480,8 +480,6 @@ def _operator_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
 
 def _build_stack(models: list[VarModel], n: int) -> list[OperatorMatrices]:
     """The operator matrices of :func:`_operator_stack`, without the memo."""
-    if not models:
-        return []
     d, p0, p1 = models[0].d, models[0].p0, models[0].p1
     for model in models:
         _require_stationary(model)

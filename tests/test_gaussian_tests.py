@@ -5,11 +5,15 @@ from scipy import stats
 from rankvar import (
     InputError,
     NumericalError,
+    ScoreSpec,
     VarModel,
+    factorize,
     gaussian_test_order,
     gaussian_test_specified,
+    make_grid,
     simulate_var,
 )
+from rankvar.order_id import _order_test
 
 ZERO2 = VarModel(d=2, p0=0, p1=1, theta=np.zeros(4))
 
@@ -141,7 +145,11 @@ def test_power_of_two_scaling_is_bitwise_neutral():
     rng = np.random.default_rng(12)
     model = VarModel.from_matrices([np.array([[0.3, 0.12], [-0.06, 0.24]])])
     x = simulate_var(model, 150, rng.standard_normal((350, 2)))
-    for p0 in (0, 1, 2):
-        base = gaussian_test_order(x, p0, p0 + 1).statistic
-        for k in (-900, -60, 3, 700):
-            assert gaussian_test_order(np.ldexp(x, k), p0, p0 + 1).statistic == base
+    grid = make_grid(factorize(150, 2), 2, seed=1)
+    families = [("gaussian", None)] + [(ScoreSpec(k), grid) for k in ("sign", "spearman", "vdw")]
+    for spec, g in families:
+        for p0 in (0, 1, 2):
+            base = _order_test(x, p0, p0 + 1, spec, g, 0.05, None, None).statistic
+            for k in (-900, -60, -3, -1, 1, 3, 60, 700):
+                scaled = np.ldexp(x, k)
+                assert _order_test(scaled, p0, p0 + 1, spec, g, 0.05, None, None).statistic == base

@@ -109,9 +109,11 @@ def test_partial_trace_on_numerical_failure():
 
 
 def test_max_order_default_and_bounds():
+    # the float cube root of 64 and 1000 falls just below 4 and 10
+    for n, cap in ((60, 3), (64, 4), (1000, 10)):
+        x = np.random.default_rng(5).standard_normal((n, 2))
+        assert identify_order(x, "gaussian").max_order == cap  # floor(n^(1/3))
     x = np.random.default_rng(5).standard_normal((60, 2))
-    trace = identify_order(x, "gaussian")
-    assert trace.max_order == 3  # floor(60^(1/3))
     with pytest.raises(InputError):
         identify_order(x, "gaussian", max_order=30)  # needs n > d*max_order + 10
     with pytest.raises(InputError):
